@@ -20,6 +20,7 @@ import io
 import csv
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -148,6 +149,23 @@ def _parse_complex_list(text: str) -> tuple[complex, ...]:
     return tuple(out)
 
 
+_DATA_OPTIONS = ("--schwarz", "--caratheodory")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Write '--schwarz -0.3:0.1' as '--schwarz=-0.3:0.1' (likewise for
+    --caratheodory): argparse reads a separate value that starts with '-' and
+    is not a plain number as an option flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _DATA_OPTIONS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _class_of(tag: str) -> ClassLabel:
     return ClassLabel.F if tag == "F" else ClassLabel.G
 
@@ -177,10 +195,11 @@ def _build_parser() -> _Parser:
     add_format(p)
 
     p = sub.add_parser("report", help="all coefficient functionals of one function")
-    p.add_argument("--extremal", choices=EXTREMAL_NAMES)
     p.add_argument("--class", dest="label", choices=("F", "G"))
-    p.add_argument("--schwarz")
-    p.add_argument("--caratheodory")
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--extremal", choices=EXTREMAL_NAMES)
+    src.add_argument("--schwarz")
+    src.add_argument("--caratheodory")
     p.add_argument("--order", type=int, default=8)
     add_format(p)
 
@@ -227,7 +246,11 @@ def _payload_extremal(args) -> tuple[dict, str]:
 
 def _member_from_args(args):
     if getattr(args, "extremal", None):
-        return extremal_member(args.extremal, args.order), {"extremal": args.extremal}
+        member = extremal_member(args.extremal, args.order)
+        if args.label is not None and args.label != member.label.value:
+            raise _UsageError(f"--class {args.label} conflicts with --extremal "
+                              f"{args.extremal}, a class-{member.label.value} member")
+        return member, {"extremal": args.extremal}
     if args.label is None or not (args.schwarz or args.caratheodory):
         raise _UsageError("need --extremal, or --class with --schwarz/--caratheodory")
     label = _class_of(args.label)
@@ -417,7 +440,7 @@ _DISPATCH = {
 def run(argv: Sequence[str]) -> tuple[int, str]:
     """Execute one command line; returns (exit status, output text)."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     payload, status = _DISPATCH[args.subcommand](args)
     seed = getattr(args, "seed", None)
     command = " ".join(argv)

@@ -3,11 +3,27 @@
 The extrema of the reduced objectives sit on region boundaries: the UpsilonF
 maximum on the x = 1 edge of the rectangle, the PhiG maximum on the p = 2
 edge, the PsiF and NG minima at its (0, 1) corner, and the maxima of the
-parabolic objectives at the (1, 0) corner.  So the search combines a full
-2-D grid with explicit 1-D sampling of every boundary segment, then shrinks
+parabolic objectives at the (1, 0) corner.  So the search combines an
+R x R grid with explicit 1-D sampling of every boundary segment, then shrinks
 the window by a factor of 10 around the incumbent for a fixed number of
 refinement rounds.  For fixed (resolution, refine_iters) the result is
 deterministic, and the incumbent value is monotone in the number of rounds.
+
+The grid is searched row by row, without evaluating all R^2 points.  Every
+objective is a quadratic a(u) + b(u) v + c(u) v^2 in its second variable
+with c(u) <= 0 (tests/test_objectives.py guards both), and the window never
+starts below v = 0, so a row's in-domain columns are the run from the first
+column up to the last one with v <= ``DomainSpec.v_max(u)``.  For a maximum,
+a quadratic with c < 0 is unimodal in v, so its largest value at the run's
+grid points lies at one of the two columns that bracket the vertex
+-b / (2c), clipped to the run; when the sign-adjusted quadratic is convex or
+linear (every minimum, and rows where c = 0) it lies at an end of the run.
+b and c are recovered from the objective itself at v = 0, 1/2, 1 and only
+place these at most four candidates per row.  The values compared and
+reported are the objective at the same grid points the full grid holds, with
+ties going to the smallest column and then the smallest row, as a flat
+argmax over the full grid breaks them.  So each round returns the full
+grid's maximum while evaluating O(R) points.
 """
 
 from __future__ import annotations
@@ -64,6 +80,36 @@ def _boundary_segments(domain: DomainSpec, win: tuple[float, float, float, float
     return segs
 
 
+def _row_maxima(obj: Objective, sign: float, uu: np.ndarray,
+                vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest in-domain value of sign * fn on each grid row, and its column.
+
+    The window never starts below v = 0, so a row's in-domain columns run
+    from 0 to j_hi, the last column with v <= v_max(u).  Rows with no
+    in-domain column get -inf; of equal values the smallest column wins.
+    """
+    u = uu[:, None]
+    last = len(vv) - 1
+    j_hi = np.searchsorted(vv, np.broadcast_to(obj.domain.v_max(uu), uu.shape),
+                           side="right") - 1
+    f0, fh, f1 = (sign * obj.fn(u, np.array([0.0, 0.5, 1.0]))).T
+    c = 2.0 * (f0 - 2.0 * fh + f1)
+    b = 4.0 * fh - 3.0 * f0 - f1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(c < 0.0, -b / (2.0 * c), vv[0])
+    j_v = np.floor((vertex - vv[0]) * last / (vv[-1] - vv[0]))
+    j_v = np.clip(j_v, 0, j_hi).astype(np.intp)
+    cols = np.stack([np.zeros_like(j_v), j_v, np.minimum(j_v + 1, j_hi), j_hi], axis=1)
+    # clipping to the grid only moves columns of rows with an empty run
+    # (j_hi = -1), all of whose columns contains() rejects
+    cols = np.sort(np.clip(cols, 0, last), axis=1)
+    v = vv[cols]
+    vals = np.where(obj.domain.contains(u, v), sign * obj.fn(u, v), -np.inf)
+    k = np.argmax(vals, axis=1)
+    rows = np.arange(len(uu))
+    return vals[rows, k], cols[rows, k]
+
+
 def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
                    resolution: int = 2000, refine_iters: int = 3) -> OptResult:
     """Extremize one objective by nested grid search.
@@ -90,16 +136,13 @@ def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
 
     for round_idx in range(refine_iters + 1):
         u0, u1, v0, v1 = win
-        uu = np.linspace(u0, u1, resolution)[:, None]
-        vv = np.linspace(v0, v1, resolution)[None, :]
-        vals = sign * obj.fn(uu, vv)
-        inside = obj.domain.contains(uu, vv)
-        vals = np.where(inside, vals, -np.inf)
-        flat = int(np.argmax(vals))
-        i, j = divmod(flat, resolution)
-        if vals[i, j] > best:
-            best = float(vals[i, j])
-            best_pt = (float(uu[i, 0]), float(vv[0, j]))
+        uu = np.linspace(u0, u1, resolution)
+        vv = np.linspace(v0, v1, resolution)
+        row_vals, row_cols = _row_maxima(obj, sign, uu, vv)
+        i = int(np.argmax(row_vals))
+        if row_vals[i] > best:
+            best = float(row_vals[i])
+            best_pt = (float(uu[i]), float(vv[row_cols[i]]))
         for su, sv in _boundary_segments(obj.domain, win, resolution):
             bvals = sign * obj.fn(su, sv)
             k = int(np.argmax(bvals))

@@ -61,11 +61,17 @@ class DomainSpec:
             return (0.0, 2.0), (0.0, 1.0)
         return (0.0, 1.0), (0.0, 1.0)
 
+    def v_max(self, u):
+        """Upper limit of v on the row u: 1 on the rectangle, 1 - u^2 on the
+        parabolic region (a scalar on the rectangle, else broadcasts)."""
+        if self.kind is DomainKind.BOX:
+            return 1.0
+        return 1.0 - u * u
+
     def contains(self, u, v):
         """Exact inequality membership test; broadcasts over arrays."""
-        if self.kind is DomainKind.BOX:
-            return (u >= 0.0) & (u <= 2.0) & (v >= 0.0) & (v <= 1.0)
-        return (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0 - u * u)
+        (u_lo, u_hi), (v_lo, _) = self.bounds()
+        return (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= self.v_max(u))
 
 
 BOX = DomainSpec(DomainKind.BOX)

@@ -194,3 +194,34 @@ def test_subprocess_determinism_and_thread_invariance():
     env = dict(os.environ, OZAKI_THREADS="3")
     third = subprocess.run(cmd, capture_output=True, env=env)
     assert third.stdout == first.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--class", "F", "--schwarz", "-0.3:0.1,.2"),
+    ("report", "--class", "G", "--caratheodory", "-.5:0.25,0.1"),
+    ("coeffs", "--class", "F", "--schwarz", "-0.3:0.1"),
+    ("coeffs", "--class", "G", "--caratheodory", "-0.5"),
+])
+def test_negative_leading_value_space_and_equals_forms(argv):
+    spaced = invoke(*argv)
+    joined = invoke(*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert spaced[0] == joined[0] == 0
+    assert spaced[1]["payload"] == joined[1]["payload"]
+    assert spaced[1]["command_echo"] == " ".join(argv)   # echoed as typed
+
+
+def test_report_rejects_class_conflicting_with_extremal(capsys):
+    assert main(["report", "--class", "G", "--extremal", "f1"]) == 1
+    assert "conflicts with --extremal" in capsys.readouterr().err
+    assert main(["report", "--class", "F", "--extremal", "f1"]) == 0
+
+
+def test_report_rejects_extremal_with_schwarz(capsys):
+    assert main(["report", "--extremal", "f1", "--schwarz", "0.3"]) == 1
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_report_rejects_schwarz_with_caratheodory(capsys):
+    assert main(["report", "--class", "F", "--schwarz", "0.3",
+                 "--caratheodory", "0.2"]) == 1
+    assert "not allowed with" in capsys.readouterr().err

@@ -1,11 +1,13 @@
-"""Grid extremization: correct extrema, boundary handling, determinism."""
+"""Grid extremization: correct extrema, boundary handling, determinism, and
+equality with the search over the full R x R grid."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ozaki.gridsearch import grid_extremize
-from ozaki.objectives import ObjectiveId
+from ozaki.gridsearch import OptResult, _boundary_segments, grid_extremize
+from ozaki.objectives import OBJECTIVES, ObjectiveId
 
 # modest resolution here; the acceptance suite runs the full 2000/3 setting
 RES, REFINE = 600, 2
@@ -80,3 +82,48 @@ def test_parameter_validation():
         grid_extremize(ObjectiveId.CHI_F, refine_iters=-1)
     with pytest.raises(ValueError):
         grid_extremize(ObjectiveId.CHI_F, mode="extremize")
+
+
+def _dense_extremize(oid, mode, resolution, refine_iters):
+    """Reference: the full R x R grid per round, first flat argmax wins."""
+    obj = OBJECTIVES[oid]
+    (u_lo, u_hi), (v_lo, v_hi) = obj.domain.bounds()
+    sign = 1.0 if mode == "max" else -1.0
+    best, best_pt, win = -np.inf, (u_lo, v_lo), (u_lo, u_hi, v_lo, v_hi)
+    for r in range(refine_iters + 1):
+        u0, u1, v0, v1 = win
+        uu = np.linspace(u0, u1, resolution)[:, None]
+        vv = np.linspace(v0, v1, resolution)[None, :]
+        vals = np.where(obj.domain.contains(uu, vv), sign * obj.fn(uu, vv), -np.inf)
+        i, j = divmod(int(np.argmax(vals)), resolution)
+        if vals[i, j] > best:
+            best, best_pt = float(vals[i, j]), (float(uu[i, 0]), float(vv[0, j]))
+        for su, sv in _boundary_segments(obj.domain, win, resolution):
+            bvals = sign * obj.fn(su, sv)
+            k = int(np.argmax(bvals))
+            if bvals[k] > best:
+                best, best_pt = float(bvals[k]), (float(su[k]), float(sv[k]))
+        hu = (u_hi - u_lo) / 10.0 ** (r + 1) / 2.0
+        hv = (v_hi - v_lo) / 10.0 ** (r + 1) / 2.0
+        win = (max(u_lo, best_pt[0] - hu), min(u_hi, best_pt[0] + hu),
+               max(v_lo, best_pt[1] - hv), min(v_hi, best_pt[1] + hv))
+    value = sign * best
+    tabulated = mode == obj.mode
+    return OptResult(oid, mode, value, best_pt, resolution, refine_iters,
+                     obj.target if tabulated else None,
+                     abs(value - float(obj.target)) if tabulated else None)
+
+
+@pytest.mark.parametrize("resolution, refine_iters",
+                         [(100, 0), (101, 4), (257, 2), (600, 1), (999, 3)])
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("oid", list(ObjectiveId))
+def test_row_reduction_equals_dense_grid(oid, mode, resolution, refine_iters):
+    assert (grid_extremize(oid, mode, resolution, refine_iters)
+            == _dense_extremize(oid, mode, resolution, refine_iters))
+
+
+@pytest.mark.parametrize("oid", [ObjectiveId.UPSILON_F, ObjectiveId.M_F])
+def test_row_reduction_equals_dense_grid_at_default_setting(oid):
+    mode = OBJECTIVES[oid].mode
+    assert grid_extremize(oid) == _dense_extremize(oid, mode, 2000, 3)

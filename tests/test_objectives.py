@@ -127,3 +127,36 @@ def test_registry_targets():
     modes = {oid: OBJECTIVES[oid].mode for oid in ObjectiveId}
     assert modes[ObjectiveId.PSI_F] == "min" and modes[ObjectiveId.N_G] == "min"
     assert sum(1 for m in modes.values() if m == "max") == 6
+
+
+def _v_coefficients(fn, u):
+    """a(u), b(u), c(u) of fn(u, v) = a + b v + c v^2, from v = 0, 1/2, 1."""
+    f0, fh, f1 = fn(u, 0.0), fn(u, 0.5), fn(u, 1.0)
+    return f0, 4.0 * fh - 3.0 * f0 - f1, 2.0 * (f0 - 2.0 * fh + f1)
+
+
+@pytest.mark.parametrize("oid", list(ObjectiveId))
+def test_objective_is_concave_quadratic_in_v(oid):
+    """The grid search reduces each row to the run's end points and the
+    v-vertex; that is exact only for a quadratic in v whose v^2 coefficient
+    is never positive on the region."""
+    obj = OBJECTIVES[oid]
+    rng = np.random.default_rng(sum(map(ord, oid.value)))
+    (u0, u1), (v0, v1) = obj.domain.bounds()
+    u = rng.uniform(u0, u1, 40000)
+    v = rng.uniform(v0, v1, 40000)
+    ok = obj.domain.contains(u, v)
+    u, v = u[ok], v[ok]
+    assert u.size > 10000
+    a, b, c = _v_coefficients(obj.fn, u)
+    np.testing.assert_allclose(obj.fn(u, v), a + b * v + c * v * v, atol=1e-14, rtol=0)
+    _, _, c = _v_coefficients(obj.fn, np.linspace(u0, u1, 20001))
+    assert np.all(c <= 0.0)
+
+
+def test_row_upper_limit_of_v():
+    u = np.linspace(0.0, 1.0, 11)
+    assert BOX.v_max(u) == 1.0
+    np.testing.assert_array_equal(PARABOLIC.v_max(u), 1.0 - u * u)
+    assert np.all(PARABOLIC.contains(u, PARABOLIC.v_max(u)))
+    assert not np.any(PARABOLIC.contains(u, np.nextafter(PARABOLIC.v_max(u), 2.0)))
