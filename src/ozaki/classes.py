@@ -15,14 +15,13 @@ and exposes the closed-form initial coefficients for cross-validation.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .series import NormalizedFunction, TruncatedSeries, constant
+from .series import (NormalizedFunction, TruncatedSeries, antiderivative, div,
+                     exp, mul)
 
 __all__ = [
     "ClassLabel",
@@ -35,11 +34,14 @@ __all__ = [
     "InvalidSchwarzPrefix",
     "UnknownExtremalName",
     "schwarz_from_blaschke",
+    "blaschke_product",
     "validate_schwarz_prefix",
     "caratheodory_from_schwarz",
     "libera_expand",
     "build_member",
     "build_member_from_caratheodory",
+    "caratheodory_array",
+    "solve_member",
     "extremal_member",
     "coeffs_from_caratheodory_direct",
     "coeffs_from_schwarz_direct",
@@ -90,16 +92,27 @@ _CARATHEODORY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CaratheodoryCoeffs:
-    """Coefficients p1..pN of p(z) = 1 + sum p_k z^k with Re p > 0."""
+    """Coefficients p1..pN of p(z) = 1 + sum p_k z^k with Re p > 0.
+
+    A prefix is accepted iff it extends to such a p, which by the
+    Caratheodory-Toeplitz theorem holds iff the Hermitian Toeplitz matrix of
+    (2, p1, ..., pN) is positive semidefinite.  Its 2x2 minors give |p_k| <= 2.
+    """
 
     p: tuple[complex, ...]
 
     def __post_init__(self):
         vals = tuple(complex(v) for v in self.p)
-        for k, v in enumerate(vals, start=1):
-            if abs(v) > 2.0 + _CARATHEODORY_TOL:
-                raise ValueError(
-                    f"|p_{k}| = {abs(v)} exceeds the Caratheodory bound 2")
+        c = np.array((2.0,) + vals, dtype=np.complex128)
+        k = np.arange(c.size)
+        # entry (i, j) is p_(j-i) above the diagonal; eigvalsh reads only there
+        toeplitz = c[np.abs(k[None, :] - k[:, None])]
+        lowest = np.linalg.eigvalsh(toeplitz, UPLO="U")[0]
+        if lowest < -_CARATHEODORY_TOL:
+            raise ValueError(
+                f"(p1, ..., p{len(vals)}) fails the Caratheodory-Toeplitz "
+                f"criterion: the Toeplitz matrix of (2, p1, ...) has "
+                f"eigenvalue {lowest:.3g} < 0")
         object.__setattr__(self, "p", vals)
 
     def prefix(self, k: int) -> tuple[complex, ...]:
@@ -185,25 +198,43 @@ class OzakiFunction:
         return self.f.coeff(n)
 
 
-def _product_series(rotation: float, zeros: Sequence[complex], order: int) -> TruncatedSeries:
-    """e^(i*rotation) * prod (a_k - z)/(1 - conj(a_k) z) to the given order."""
-    b = constant(1.0, order)
-    for a in zeros:
-        num = TruncatedSeries([a, -1.0]).padded(order)
-        den = TruncatedSeries([1.0, -np.conj(a)]).padded(order)
-        b = b * (num / den)
-    return b * cmath.exp(1j * rotation)
+def blaschke_product(rotation, zeros: np.ndarray, count, length: int) -> np.ndarray:
+    """Coefficients 0..length-1 of e^(i*rotation) * prod_k (a_k - z)/(1 - conj(a_k) z).
+
+    Coefficient-major like the series kernels: ``rotation`` and ``count``
+    have the batch shape and ``zeros`` has shape (K, *batch); only the first
+    ``count`` zeros of each product are used.  Each factor is expanded in
+    closed form, (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) sum_t conj(a)^(t-1) z^t.
+    """
+    shape = (length,) + np.shape(rotation)
+    ident = np.zeros(shape, dtype=np.complex128)
+    ident[0] = 1.0
+    b = ident
+    for j, a in enumerate(zeros):
+        abar = np.conj(a)
+        coef = a * abar - 1.0          # |a|^2 - 1
+        fac = np.empty(shape, dtype=np.complex128)
+        fac[0] = a
+        powr = np.ones(shape[1:], dtype=np.complex128)
+        for t in range(1, length):
+            fac[t] = coef * powr
+            powr = powr * abar
+        b = mul(b, np.where(j < count, fac, ident))
+    return b * np.exp(1j * rotation)
 
 
 def schwarz_from_blaschke(spec: BlaschkeSpec, order: int) -> SchwarzCoeffs:
     """Coefficients c1..c_order of the Schwarz function described by ``spec``."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    b = _product_series(spec.rotation, spec.zeros, order - 1)
-    w = spec.mixture_weight * b.coeffs
+
+    def product(s: BlaschkeSpec) -> np.ndarray:
+        zeros = np.array(s.zeros, dtype=np.complex128)
+        return blaschke_product(s.rotation, zeros, zeros.size, order)
+
+    w = spec.mixture_weight * product(spec)
     if spec.second is not None:
-        b2 = _product_series(spec.second.rotation, spec.second.zeros, order - 1)
-        w = w + (1.0 - spec.mixture_weight) * b2.coeffs
+        w = w + (1.0 - spec.mixture_weight) * product(spec.second)
     return SchwarzCoeffs(tuple(w))
 
 
@@ -219,12 +250,18 @@ def validate_schwarz_prefix(c: SchwarzCoeffs, tol: float = 1e-12) -> bool:
     return a3 <= 1.0 - a1 * a1 - a2 * a2 / (1.0 + a1) + tol
 
 
+def caratheodory_array(w: np.ndarray) -> np.ndarray:
+    """Coefficients of p = (1 + w)/(1 - w) from those of w, coefficient-major."""
+    plus, minus = w.copy(), -w
+    plus[0] += 1.0
+    minus[0] += 1.0
+    return div(plus, minus)
+
+
 def caratheodory_from_schwarz(c: SchwarzCoeffs, order: int) -> CaratheodoryCoeffs:
     """Coefficients p1..p_order of p = (1 + w)/(1 - w)."""
-    w = c.series(order)
-    one = constant(1.0, order)
-    p = (one + w) / (one - w)
-    return CaratheodoryCoeffs(tuple(p.coeffs[1:]))
+    p = caratheodory_array(c.series(order).coeffs)
+    return CaratheodoryCoeffs(tuple(p[1:]))
 
 
 def libera_expand(params: LiberaParams) -> CaratheodoryCoeffs:
@@ -251,22 +288,25 @@ def libera_expand(params: LiberaParams) -> CaratheodoryCoeffs:
     return CaratheodoryCoeffs((p1, p2, p3, p4))
 
 
-def build_member_from_caratheodory(label: ClassLabel, p: CaratheodoryCoeffs,
-                                   order: int,
-                                   provenance: SchwarzCoeffs | CaratheodoryCoeffs | str | None = None,
-                                   ) -> OzakiFunction:
-    """Solve the defining differential equation from Caratheodory data.
+def solve_member(label: ClassLabel, p: np.ndarray) -> np.ndarray:
+    """Coefficients of the member whose Caratheodory function has the
+    coefficients p (coefficient-major, p[0] = 1), to the length of p.
 
     With q(z) = f''/f' = 3(p(z)-1)/(2z) for F or (1-p(z))/(2z) for G,
     f' = exp(int q) and f is the antiderivative of f'.
     """
+    q = (1.5 if label is ClassLabel.F else -0.5) * p[1:]   # orders 0..len-2
+    return antiderivative(exp(antiderivative(q)))[: p.shape[0]]
+
+
+def build_member_from_caratheodory(label: ClassLabel, p: CaratheodoryCoeffs,
+                                   order: int,
+                                   provenance: SchwarzCoeffs | CaratheodoryCoeffs | str | None = None,
+                                   ) -> OzakiFunction:
+    """Solve the defining differential equation from Caratheodory data."""
     if order < 4:
         raise ValueError("order must be >= 4")
-    ps = p.series(order)
-    u = TruncatedSeries(ps.coeffs[1:])  # (p - 1)/z, order-1
-    q = u * (1.5 if label is ClassLabel.F else -0.5)
-    fprime = q.antiderivative().exp()
-    f = fprime.antiderivative().truncated(order)
+    f = TruncatedSeries(solve_member(label, p.series(order).coeffs))
     return OzakiFunction(label, NormalizedFunction(f),
                          p if provenance is None else provenance)
 

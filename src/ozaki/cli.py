@@ -268,12 +268,11 @@ def _member_from_args(args):
 def _payload_coeffs(args) -> tuple[dict, str]:
     label = _class_of(args.label)
     member, src = _member_from_args(args)
+    # the provenance is the parsed (and membership-checked) input
     if args.schwarz:
-        direct = coeffs_from_schwarz_direct(label, SchwarzCoeffs(
-            _parse_complex_list(args.schwarz)))
+        direct = coeffs_from_schwarz_direct(label, member.provenance)
     else:
-        direct = coeffs_from_caratheodory_direct(label, CaratheodoryCoeffs(
-            _parse_complex_list(args.caratheodory)))
+        direct = coeffs_from_caratheodory_direct(label, member.provenance)
     payload = {
         "label": args.label,
         **src,

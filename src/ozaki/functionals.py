@@ -12,8 +12,12 @@ Everything here is a closed-form expression in the initial coefficients
   coefficients, gamma1^2 - |gamma2|^2, taken after rotating a2 real,
 * the successive differences |A3 - A2| and |Gamma3 - Gamma2|.
 
-``full_report`` evaluates all of them on one function and cross-checks the
-inverse coefficients against an actual series inversion.
+Every formula works elementwise, on Python scalars and on numpy arrays
+alike.  ``evaluate`` maps a :class:`CoeffTriple` of scalars (one function)
+or of arrays (a sampled batch) to a :class:`FunctionalReport`;
+``FUNCTIONAL_VALUES`` reads each named real value off such a report, and
+``inverse_crosscheck`` compares the closed-form inverse coefficients with a
+series inversion.  ``full_report`` is all three on one function.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classes import OzakiFunction
-from .series import NormalizedFunction, TruncatedSeries
+from .series import NormalizedFunction, TruncatedSeries, inverse
 
 __all__ = [
     "CoeffTriple",
@@ -38,7 +42,10 @@ __all__ = [
     "toeplitz_t21_log",
     "rotate_to_real_a2",
     "successive_diffs",
+    "evaluate",
+    "inverse_crosscheck",
     "full_report",
+    "FUNCTIONAL_VALUES",
     "INVERSE_CROSSCHECK_TOL",
 ]
 
@@ -96,6 +103,18 @@ def schwarzian_initial(t: CoeffTriple) -> tuple[complex, complex]:
     return 6.0 * (a3 - a2 ** 2), 24.0 * (a4 - 3.0 * a2 * a3 + 2.0 * a2 ** 3)
 
 
+def _t21_quartic(x, re_a3, abs_a3):
+    """(-x^4 + 4 x^2 + 4 x^2 Re a3 - 4 |a3|^2)/16 for a real a2 = x."""
+    return (-x ** 4 + 4.0 * x ** 2 + 4.0 * x ** 2 * re_a3
+            - 4.0 * abs_a3 ** 2) / 16.0
+
+
+def _real_a2_phase(a2):
+    """e^(i*h) with a2 e^(i*h) = |a2|; 1 where a2 = 0."""
+    absa2 = np.abs(a2)
+    return np.where(absa2 > 0, np.conj(a2) / np.where(absa2 > 0, absa2, 1.0), 1.0)
+
+
 def toeplitz_t21_log(t: CoeffTriple) -> float:
     """gamma1^2 - |gamma2|^2 as the quartic
     (-a2^4 + 4 a2^2 + 4 a2^2 Re a3 - 4 |a3|^2)/16, valid for real a2."""
@@ -103,9 +122,7 @@ def toeplitz_t21_log(t: CoeffTriple) -> float:
     if abs(a2.imag) > _REAL_A2_TOL:
         raise NonRealSecondCoefficient(
             f"a2 = {a2} is not real; apply rotate_to_real_a2 first")
-    x = a2.real
-    return (-x ** 4 + 4.0 * x ** 2 + 4.0 * x ** 2 * a3.real
-            - 4.0 * abs(a3) ** 2) / 16.0
+    return _t21_quartic(a2.real, a3.real, abs(a3))
 
 
 def rotate_to_real_a2(f: NormalizedFunction) -> NormalizedFunction:
@@ -117,7 +134,7 @@ def rotate_to_real_a2(f: NormalizedFunction) -> NormalizedFunction:
     a2 = c[2] if f.order >= 2 else 0.0
     if a2 == 0 or (a2.imag == 0 and a2.real > 0):
         return f
-    phase = np.conj(a2) / abs(a2)  # e^(i*h)
+    phase = _real_a2_phase(a2)
     factors = phase ** np.arange(-1, f.order, dtype=np.float64)
     out = c * factors
     out[0] = 0.0
@@ -134,7 +151,8 @@ def successive_diffs(t: CoeffTriple) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """All implemented functionals of one function.
+    """All implemented functionals of one function, or of a batch when the
+    fields are arrays.
 
     The source coefficients are included so that identities such as
     A2 = -a2 and Gamma1 = -a2/2 remain recomputable from the report alone.
@@ -158,30 +176,18 @@ class FunctionalReport:
     diff_Gamma: float
 
 
-def full_report(fn: OzakiFunction | NormalizedFunction) -> FunctionalReport:
-    """Evaluate every functional on one function.
+def evaluate(t: CoeffTriple) -> FunctionalReport:
+    """Every functional of (a2, a3, a4), elementwise on scalars or arrays.
 
-    The inverse-coefficient formulas are cross-checked against the actual
-    compositional inverse of the series; a disagreement beyond
-    ``INVERSE_CROSSCHECK_TOL`` raises :class:`InverseSeriesMismatch`.
-    The Toeplitz determinant is taken after rotating a2 real.
+    The Toeplitz determinant is the quartic taken after rotating a2 real,
+    which leaves |a3| unchanged and turns a3 into a3 e^(2ih).
     """
-    f = fn.f if isinstance(fn, OzakiFunction) else fn
-    if f.order < 4:
-        raise ValueError("full report needs order >= 4")
-    t = CoeffTriple.from_function(f)
     A2, A3, A4 = inverse_coeffs(t)
-    inv = f.inverse()
-    worst = max(abs(inv.coeffs[2] - A2), abs(inv.coeffs[3] - A3),
-                abs(inv.coeffs[4] - A4))
-    if worst > INVERSE_CROSSCHECK_TOL:
-        raise InverseSeriesMismatch(
-            f"series inversion deviates from closed form by {worst}")
     gamma1, gamma2 = log_coeffs(t)
     G1, G2, G3 = log_inverse_coeffs(t)
     S3, S4 = schwarzian_initial(t)
-    rotated = rotate_to_real_a2(f)
-    T21 = toeplitz_t21_log(CoeffTriple.from_function(rotated))
+    a3_rotated = t.a3 * _real_a2_phase(t.a2) ** 2
+    T21 = _t21_quartic(np.abs(t.a2), a3_rotated.real, np.abs(t.a3))
     diff_A, diff_Gamma = successive_diffs(t)
     return FunctionalReport(
         a2=t.a2, a3=t.a3, a4=t.a4,
@@ -191,3 +197,52 @@ def full_report(fn: OzakiFunction | NormalizedFunction) -> FunctionalReport:
         S3=S3, S4=S4,
         T21_log=T21, diff_A=diff_A, diff_Gamma=diff_Gamma,
     )
+
+
+# value of each named functional on a report, in reporting order
+FUNCTIONAL_VALUES = {
+    "A2_abs": lambda r: abs(r.A2),
+    "A3_abs": lambda r: abs(r.A3),
+    "A4_abs": lambda r: abs(r.A4),
+    "gamma1_abs": lambda r: abs(r.gamma1),
+    "gamma2_abs": lambda r: abs(r.gamma2),
+    "Gamma1_abs": lambda r: abs(r.Gamma1),
+    "Gamma2_abs": lambda r: abs(r.Gamma2),
+    "Gamma3_abs": lambda r: abs(r.Gamma3),
+    "S3_abs": lambda r: abs(r.S3),
+    "S4_abs": lambda r: abs(r.S4),
+    "T21_log": lambda r: r.T21_log,
+    "diff_A": lambda r: r.diff_A,
+    "diff_Gamma": lambda r: r.diff_Gamma,
+}
+
+
+def inverse_crosscheck(f: np.ndarray, report: FunctionalReport) -> float:
+    """Largest deviation of the closed-form A2, A3, A4 of ``report`` from the
+    series inversion of f[:5] (coefficient-major, one function or a batch).
+
+    Raises :class:`InverseSeriesMismatch` beyond ``INVERSE_CROSSCHECK_TOL``.
+    """
+    inv = inverse(f[:5])
+    worst = float(max(np.max(np.abs(inv[2] - report.A2)),
+                      np.max(np.abs(inv[3] - report.A3)),
+                      np.max(np.abs(inv[4] - report.A4))))
+    if worst > INVERSE_CROSSCHECK_TOL:
+        raise InverseSeriesMismatch(
+            f"series inversion deviates from closed form by {worst}")
+    return worst
+
+
+def full_report(fn: OzakiFunction | NormalizedFunction) -> FunctionalReport:
+    """Evaluate every functional on one function.
+
+    The inverse-coefficient formulas are cross-checked against the actual
+    compositional inverse of the series; a disagreement beyond
+    ``INVERSE_CROSSCHECK_TOL`` raises :class:`InverseSeriesMismatch`.
+    """
+    f = fn.f if isinstance(fn, OzakiFunction) else fn
+    if f.order < 4:
+        raise ValueError("full report needs order >= 4")
+    report = evaluate(CoeffTriple.from_function(f))
+    inverse_crosscheck(f.series.coeffs, report)
+    return report

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import ClassLabel, extremal_member
-from .functionals import FunctionalReport, full_report
+from .functionals import FUNCTIONAL_VALUES, FunctionalReport, full_report
 
 __all__ = [
     "BoundCheck",
@@ -25,19 +25,6 @@ __all__ = [
     "entries_for",
     "check_extremals",
 ]
-
-
-# value of each named functional on a report
-FUNCTIONAL_VALUES = {
-    "T21_log": lambda r: r.T21_log,
-    "Gamma1_abs": lambda r: abs(r.Gamma1),
-    "Gamma2_abs": lambda r: abs(r.Gamma2),
-    "Gamma3_abs": lambda r: abs(r.Gamma3),
-    "S3_abs": lambda r: abs(r.S3),
-    "S4_abs": lambda r: abs(r.S4),
-    "diff_A": lambda r: r.diff_A,
-    "diff_Gamma": lambda r: r.diff_Gamma,
-}
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,15 @@ Schwarz functions by construction, so no rejection step is needed.  To probe
 near-extremal territory, 10% of the samples use the zero-free pure-rotation
 product and another 10% draw their Blaschke zeros with modulus at least 0.9.
 
-The whole pipeline (Blaschke expansion, Caratheodory transform, the
-differential-equation solve, the functional formulas, and the inverse-series
-cross-check) is vectorized over the sample axis; rows agree with the scalar
-construction to machine precision.  Samples are processed in fixed-size
-chunks with per-chunk child seeds, so results do not depend on how many
-worker threads execute the chunks (set ``OZAKI_THREADS`` to use more than
-one).
+A chunk of members is held coefficient-major, as arrays of shape
+``(order+1, n)`` with one member per column, and runs through the same code
+as a single member: ``blaschke_product``, ``caratheodory_array`` and
+``solve_member`` of :mod:`ozaki.classes` on the series kernels of
+:mod:`ozaki.series`, then ``evaluate``, ``inverse_crosscheck`` and
+``FUNCTIONAL_VALUES`` of :mod:`ozaki.functionals`.  Samples are processed in
+fixed-size chunks with per-chunk child seeds, so results do not depend on
+how many worker threads execute the chunks (set ``OZAKI_THREADS`` to use
+more than one).
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classes import ClassLabel, extremal_member
-from .functionals import INVERSE_CROSSCHECK_TOL, InverseSeriesMismatch, full_report
-from .ledger import FUNCTIONAL_VALUES, BoundEntry, entries_for
+from .classes import (ClassLabel, blaschke_product, caratheodory_array,
+                      extremal_member, solve_member)
+from .functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate, full_report,
+                          inverse_crosscheck)
+from .ledger import BoundEntry, entries_for
 
 __all__ = ["SampleConfig", "SampleCheck", "SampleReport", "sample_and_check",
            "STAT_NAMES", "THREADS_ENV_VAR"]
@@ -40,13 +44,7 @@ _NEAR_BOUNDARY_SHARE = 0.10
 _MIXTURE_SHARE = 0.25
 _NEAR_RADIUS_SQ = 0.81  # |a|^2 >= 0.81, i.e. |a| >= 0.9
 
-STAT_NAMES = (
-    "A2_abs", "A3_abs", "A4_abs",
-    "gamma1_abs", "gamma2_abs",
-    "Gamma1_abs", "Gamma2_abs", "Gamma3_abs",
-    "S3_abs", "S4_abs",
-    "T21_log", "diff_A", "diff_Gamma",
-)
+STAT_NAMES = tuple(FUNCTIONAL_VALUES)
 
 
 @dataclass(frozen=True)
@@ -103,143 +101,7 @@ class SampleReport:
 
 
 # ----------------------------------------------------------------------
-# batched series kernels; arrays have shape (samples, order+1)
-
-def _batch_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = a.shape[1]
-    out = np.empty_like(a)
-    for k in range(m):
-        out[:, k] = np.einsum("ij,ij->i", a[:, : k + 1], b[:, k::-1])
-    return out
-
-
-def _batch_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = a.shape[1]
-    q = np.empty_like(a)
-    q[:, 0] = a[:, 0] / b[:, 0]
-    for k in range(1, m):
-        acc = np.einsum("ij,ij->i", q[:, :k], b[:, k:0:-1])
-        q[:, k] = (a[:, k] - acc) / b[:, 0]
-    return q
-
-
-def _batch_exp(s: np.ndarray) -> np.ndarray:
-    """Row-wise exp of series with zero constant term."""
-    m = s.shape[1]
-    e = np.zeros_like(s)
-    e[:, 0] = 1.0
-    ws = s * np.arange(m)
-    for n in range(1, m):
-        e[:, n] = np.einsum("ij,ij->i", ws[:, 1: n + 1], e[:, n - 1:: -1]) / n
-    return e
-
-
-def _batch_antiderivative(s: np.ndarray) -> np.ndarray:
-    n, m = s.shape
-    out = np.zeros((n, m + 1), dtype=s.dtype)
-    out[:, 1:] = s / np.arange(1, m + 1)
-    return out
-
-
-def _batch_member(label: ClassLabel, w: np.ndarray) -> np.ndarray:
-    """Solve the class differential equation for every Schwarz row of w."""
-    order = w.shape[1] - 1
-    one_plus = w.copy()
-    one_plus[:, 0] += 1.0
-    one_minus = -w
-    one_minus[:, 0] += 1.0
-    p = _batch_div(one_plus, one_minus)
-    scale = 1.5 if label is ClassLabel.F else -0.5
-    q = scale * p[:, 1:]                      # (p-1)/z scaled, orders 0..order-1
-    fprime = _batch_exp(_batch_antiderivative(q))
-    return _batch_antiderivative(fprime)[:, : order + 1]
-
-
-def _batch_inverse_head(f: np.ndarray) -> np.ndarray:
-    """Coefficients 0..4 of the compositional inverse of each row."""
-    a = f[:, :5]
-    inv = np.zeros_like(a)
-    inv[:, 1] = 1.0
-    for m in range(2, 5):
-        power = inv.copy()
-        acc = np.zeros(a.shape[0], dtype=a.dtype)
-        for k in range(2, m + 1):
-            power = _batch_mul(power, inv)
-            acc += a[:, k] * power[:, m]
-        inv[:, m] = -acc
-    return inv
-
-
-def _batch_functionals(f: np.ndarray) -> tuple[dict[str, np.ndarray], float]:
-    """All functional values per row, plus the worst inverse cross-check."""
-    a2, a3, a4 = f[:, 2], f[:, 3], f[:, 4]
-    A2 = -a2
-    A3 = 2.0 * a2 ** 2 - a3
-    A4 = -a4 + 5.0 * a2 * a3 - 5.0 * a2 ** 3
-    inv = _batch_inverse_head(f)
-    crosscheck = float(max(
-        np.max(np.abs(inv[:, 2] - A2)),
-        np.max(np.abs(inv[:, 3] - A3)),
-        np.max(np.abs(inv[:, 4] - A4)),
-    ))
-    if crosscheck > INVERSE_CROSSCHECK_TOL:
-        raise InverseSeriesMismatch(
-            f"batched inversion deviates from closed form by {crosscheck}")
-    gamma1 = a2 / 2.0
-    gamma2 = (a3 - a2 ** 2 / 2.0) / 2.0
-    G1 = -a2 / 2.0
-    G2 = -(a3 - 1.5 * a2 ** 2) / 2.0
-    G3 = -(a4 - 4.0 * a2 * a3 + (10.0 / 3.0) * a2 ** 3) / 2.0
-    S3 = 6.0 * (a3 - a2 ** 2)
-    S4 = 24.0 * (a4 - 3.0 * a2 * a3 + 2.0 * a2 ** 3)
-    # rotate a2 real and nonnegative before the Toeplitz determinant
-    absa2 = np.abs(a2)
-    phase = np.where(absa2 > 0, np.conj(a2) / np.where(absa2 > 0, absa2, 1.0), 1.0)
-    a3r = a3 * phase ** 2
-    x = absa2
-    T21 = (-x ** 4 + 4.0 * x ** 2 + 4.0 * x ** 2 * a3r.real
-           - 4.0 * np.abs(a3) ** 2) / 16.0
-    values = {
-        "A2_abs": np.abs(A2), "A3_abs": np.abs(A3), "A4_abs": np.abs(A4),
-        "gamma1_abs": np.abs(gamma1), "gamma2_abs": np.abs(gamma2),
-        "Gamma1_abs": np.abs(G1), "Gamma2_abs": np.abs(G2),
-        "Gamma3_abs": np.abs(G3),
-        "S3_abs": np.abs(S3), "S4_abs": np.abs(S4),
-        "T21_log": T21,
-        "diff_A": np.abs(A3 - A2), "diff_Gamma": np.abs(G3 - G2),
-    }
-    return values, crosscheck
-
-
-# ----------------------------------------------------------------------
 # batched Blaschke sampling
-
-def _factor_rows(a: np.ndarray, enabled: np.ndarray, width: int) -> np.ndarray:
-    """Expansion of (a - z)/(1 - conj(a) z) per row; identity where disabled."""
-    n = a.shape[0]
-    fac = np.zeros((n, width), dtype=np.complex128)
-    fac[:, 0] = a
-    abar = np.conj(a)
-    coef = a * abar - 1.0          # |a|^2 - 1
-    powr = np.ones(n, dtype=np.complex128)
-    for t in range(1, width):
-        fac[:, t] = coef * powr
-        powr = powr * abar
-    ident = np.zeros(width, dtype=np.complex128)
-    ident[0] = 1.0
-    return np.where(enabled[:, None], fac, ident[None, :])
-
-
-def _product_rows(theta: np.ndarray, zeros: np.ndarray, mask: np.ndarray,
-                  width: int) -> np.ndarray:
-    """Rows of e^(i theta) * prod of enabled Blaschke factors."""
-    n = theta.shape[0]
-    b = np.zeros((n, width), dtype=np.complex128)
-    b[:, 0] = 1.0
-    for j in range(zeros.shape[1]):
-        b = _batch_mul(b, _factor_rows(zeros[:, j], mask[:, j], width))
-    return b * np.exp(1j * theta)[:, None]
-
 
 @dataclass(frozen=True)
 class _BlaschkeBatch:
@@ -282,24 +144,19 @@ def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBa
                           is_mix=is_mix, weight=weight)
 
 
-def _schwarz_rows(batch: _BlaschkeBatch, order: int) -> np.ndarray:
-    """Schwarz coefficient rows (orders 0..order) for a drawn batch."""
-    n = batch.theta.shape[0]
-    k = batch.zeros.shape[2]
-    idx = np.arange(k)[None, :]
-    mask1 = idx < batch.counts[:, 0][:, None]
-    mask2 = idx < batch.counts[:, 1][:, None]
-    b1 = _product_rows(batch.theta[:, 0], batch.zeros[:, 0, :], mask1, order)
-    b2 = _product_rows(batch.theta[:, 1], batch.zeros[:, 1, :], mask2, order)
-    lam = batch.weight[:, None]
-    b = lam * b1 + np.where(batch.is_mix[:, None], (1.0 - lam) * b2, 0.0)
-    w = np.zeros((n, order + 1), dtype=np.complex128)
-    w[:, 1:] = b
+def _schwarz_coeffs(batch: _BlaschkeBatch, order: int) -> np.ndarray:
+    """Schwarz coefficients (orders 0..order, one column per member) of a
+    drawn batch."""
+    b1, b2 = (blaschke_product(batch.theta[:, slot], batch.zeros[:, slot, :].T,
+                               batch.counts[:, slot], order) for slot in (0, 1))
+    lam = batch.weight
+    w = np.zeros((order + 1,) + lam.shape, dtype=np.complex128)
+    w[1:] = lam * b1 + np.where(batch.is_mix, (1.0 - lam) * b2, 0.0)
     return w
 
 
 def spec_from_batch(batch: _BlaschkeBatch, i: int):
-    """Materialize row i of a batch as a BlaschkeSpec (for reproduction)."""
+    """Materialize member i of a batch as a BlaschkeSpec (for reproduction)."""
     from .classes import BlaschkeSpec
 
     def one(slot: int) -> "BlaschkeSpec":
@@ -324,8 +181,12 @@ class _ChunkSummary:
     crosscheck: float
 
 
-def _summarize_chunk(values: dict[str, np.ndarray], crosscheck: float,
-                     entries: tuple[BoundEntry, ...], tol: float) -> _ChunkSummary:
+def _summarize_chunk(f: np.ndarray, entries: tuple[BoundEntry, ...],
+                     tol: float) -> _ChunkSummary:
+    """Ranges and bound violations of the members with coefficients f."""
+    report = evaluate(CoeffTriple(f[2], f[3], f[4]))
+    crosscheck = inverse_crosscheck(f, report)
+    values = {name: value(report) for name, value in FUNCTIONAL_VALUES.items()}
     mins = {name: float(np.min(v)) for name, v in values.items()}
     maxs = {name: float(np.max(v)) for name, v in values.items()}
     violations: dict[tuple[str, str], int] = {}
@@ -347,10 +208,8 @@ def _run_chunk(label: ClassLabel, seed: np.random.SeedSequence, size: int,
                entries: tuple[BoundEntry, ...], tol: float) -> _ChunkSummary:
     rng = np.random.default_rng(seed)
     batch = _draw_batch(rng, size, max_zeros)
-    w = _schwarz_rows(batch, order)
-    f = _batch_member(label, w)
-    values, crosscheck = _batch_functionals(f)
-    return _summarize_chunk(values, crosscheck, entries, tol)
+    p = caratheodory_array(_schwarz_coeffs(batch, order))
+    return _summarize_chunk(solve_member(label, p), entries, tol)
 
 
 def _thread_count() -> int:
@@ -393,10 +252,10 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
         names = ("f1", "f2") if cfg.label is ClassLabel.F else ("g1", "g2")
         for name in names:
             report = full_report(extremal_member(name, cfg.order))
-            for stat in STAT_NAMES:
-                value = _report_stat(report, stat)
-                mins[stat] = min(mins[stat], value)
-                maxs[stat] = max(maxs[stat], value)
+            for stat, value in FUNCTIONAL_VALUES.items():
+                v = float(value(report))
+                mins[stat] = min(mins[stat], v)
+                maxs[stat] = max(maxs[stat], v)
 
     checks = []
     worst = -np.inf
@@ -426,14 +285,3 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
                         stats=stats, checks=tuple(checks),
                         worst_margin=float(worst), total_violations=total,
                         inverse_crosscheck_residual=crosscheck)
-
-
-def _report_stat(report, name: str) -> float:
-    if name in FUNCTIONAL_VALUES:
-        return float(FUNCTIONAL_VALUES[name](report))
-    base = {
-        "A2_abs": abs(report.A2), "A3_abs": abs(report.A3),
-        "A4_abs": abs(report.A4),
-        "gamma1_abs": abs(report.gamma1), "gamma2_abs": abs(report.gamma2),
-    }
-    return float(base[name])

@@ -14,6 +14,15 @@ package is at least 1e-12 and orders stay small, so double precision is
 sufficient.  Structural preconditions (unit constant term, vanishing constant
 term) are tested with exact comparison: the constructors of this package
 produce those constants exactly.
+
+Beneath the class sit the array kernels :func:`mul`, :func:`div`,
+:func:`exp`, :func:`log`, :func:`antiderivative` and :func:`inverse`.  They
+are coefficient-major: axis 0 is the power of ``z`` and any trailing axes
+index a batch of series, so a 1-D array is one series and an array of shape
+``(order+1, n)`` holds n of them.  Every kernel is built on one reduction
+over axis 0 and returns as many coefficients as its input has.  The kernels
+do not check preconditions; the :class:`TruncatedSeries` methods that wrap
+them do.
 """
 
 from __future__ import annotations
@@ -33,6 +42,12 @@ __all__ = [
     "LogOfNonUnitConstant",
     "PowOfNonUnitConstant",
     "NotNormalized",
+    "mul",
+    "div",
+    "exp",
+    "log",
+    "antiderivative",
+    "inverse",
     "linear_combine",
     "zero",
     "constant",
@@ -68,9 +83,83 @@ class NotNormalized(SeriesError):
     """Series is not of the normalized form z + a2 z^2 + ..."""
 
 
-def _trunc_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Cauchy product of coefficient arrays, truncated at ``order``."""
-    return np.convolve(a[: order + 1], b[: order + 1])[: order + 1]
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a * b, accumulated in index order."""
+    return np.einsum("i...,i...->...", a, b)
+
+
+def _powers(a: np.ndarray, start: int = 0) -> np.ndarray:
+    """start, start+1, ... along axis 0, shaped to broadcast against a."""
+    k = np.arange(start, start + a.shape[0])
+    return k.reshape(k.shape + (1,) * (a.ndim - 1))
+
+
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product of two series of equal shape, truncated to it."""
+    out = np.empty(a.shape, dtype=np.complex128)
+    for k in range(out.shape[0]):
+        out[k] = _dot(a[: k + 1], b[k::-1])
+    return out
+
+
+def div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quotient a / b of two series of equal shape; b[0] must not vanish."""
+    q = np.empty(a.shape, dtype=np.complex128)
+    for k in range(q.shape[0]):
+        q[k] = (a[k] - _dot(q[:k], b[k:0:-1])) / b[0]
+    return q
+
+
+def exp(s: np.ndarray) -> np.ndarray:
+    """exp of a series with zero constant term, via e' = e * s'."""
+    e = np.empty(s.shape, dtype=np.complex128)
+    e[0] = 1.0
+    ws = s * _powers(s)  # k * s_k
+    for m in range(1, s.shape[0]):
+        e[m] = _dot(ws[1: m + 1], e[m - 1:: -1]) / m
+    return e
+
+
+def log(s: np.ndarray) -> np.ndarray:
+    """log of a series with unit constant term, recurrence dual to exp."""
+    out = np.empty(s.shape, dtype=np.complex128)
+    out[0] = 0.0
+    ks = _powers(s)
+    for m in range(1, s.shape[0]):
+        out[m] = (m * s[m] - _dot(out[1:m] * ks[1:m], s[m - 1: 0: -1])) / m
+    return out
+
+
+def antiderivative(s: np.ndarray) -> np.ndarray:
+    """Antiderivative vanishing at 0; one coefficient longer than s."""
+    out = np.zeros((s.shape[0] + 1,) + s.shape[1:], dtype=np.complex128)
+    out[1:] = s / _powers(s, 1)
+    return out
+
+
+def inverse(f: np.ndarray) -> np.ndarray:
+    """Compositional inverse F of f = z + a2 z^2 + ..., with f(F(w)) = w.
+
+    Built coefficient by coefficient: with A2..A(m-1) fixed and Am = 0,
+    the w^m coefficient of f(F(w)) = sum_k a_k F^k is exactly -Am.
+    """
+    inv = np.zeros(f.shape, dtype=np.complex128)
+    inv[1] = 1.0
+    for m in range(2, f.shape[0]):
+        head = inv[: m + 1]
+        power = head
+        acc = np.zeros((1,) + f.shape[1:], dtype=np.complex128)
+        for k in range(2, m + 1):
+            # F^k vanishes below z^k, so only coefficients k..m are summed
+            prev, power = power, np.zeros_like(head)
+            for j in range(k, m + 1):
+                power[j] = _dot(prev[: j + 1], head[j::-1])
+            # products of length-1 slices, not of scalars: numpy rounds a
+            # complex product of arrays and of scalars differently, and one
+            # series must round like a column of a batch
+            acc += f[k: k + 1] * power[m: m + 1]
+        inv[m] = -acc[0]
+    return inv
 
 
 class TruncatedSeries:
@@ -144,7 +233,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            return TruncatedSeries(_trunc_mul(self._c, other._c, n))
+            return TruncatedSeries(mul(self._c[: n + 1], other._c[: n + 1]))
         if isinstance(other, Complex):
             return TruncatedSeries(self._c * complex(other))
         return NotImplemented
@@ -160,11 +249,7 @@ class TruncatedSeries:
         if t0 == 0:
             raise DivisionByNonUnit("division requires a nonzero constant term")
         n = min(self.order, other.order)
-        s, t = self._c, other._c
-        q = np.zeros(n + 1, dtype=np.complex128)
-        for k in range(n + 1):
-            q[k] = (s[k] - np.dot(q[:k], t[k:0:-1])) / t0
-        return TruncatedSeries(q)
+        return TruncatedSeries(div(self._c[: n + 1], other._c[: n + 1]))
 
     # -- calculus ----------------------------------------------------------
 
@@ -177,9 +262,7 @@ class TruncatedSeries:
 
     def antiderivative(self) -> "TruncatedSeries":
         """Antiderivative vanishing at 0; order grows by one."""
-        out = np.zeros(self._c.size + 1, dtype=np.complex128)
-        out[1:] = self._c / np.arange(1, self._c.size + 1)
-        return TruncatedSeries(out)
+        return TruncatedSeries(antiderivative(self._c))
 
     # -- composition and transcendental maps --------------------------------
 
@@ -198,7 +281,7 @@ class TruncatedSeries:
         acc = np.zeros(n + 1, dtype=np.complex128)
         acc[0] = self._c[n]
         for k in range(n - 1, -1, -1):
-            acc = _trunc_mul(acc, g, n)
+            acc = mul(acc, g)
             acc[0] += self._c[k]
         return TruncatedSeries(acc)
 
@@ -207,29 +290,14 @@ class TruncatedSeries:
         if self._c[0] != 0:
             raise ExpOfNonZeroConstant(
                 f"exp requires constant term 0, got {self._c[0]}")
-        n = self.order
-        s = self._c
-        e = np.zeros(n + 1, dtype=np.complex128)
-        e[0] = 1.0
-        ks = np.arange(n + 1)
-        ws = s * ks  # k * s_k
-        for m in range(1, n + 1):
-            e[m] = np.dot(ws[1: m + 1], e[m - 1:: -1][:m]) / m
-        return TruncatedSeries(e)
+        return TruncatedSeries(exp(self._c))
 
     def log(self) -> "TruncatedSeries":
         """log of a series with unit constant term, recurrence dual to exp."""
         if self._c[0] != 1:
             raise LogOfNonUnitConstant(
                 f"log requires constant term 1, got {self._c[0]}")
-        n = self.order
-        s = self._c
-        out = np.zeros(n + 1, dtype=np.complex128)
-        ks = np.arange(n + 1)
-        for m in range(1, n + 1):
-            acc = np.dot(out[1:m] * ks[1:m], s[m - 1: 0: -1])
-            out[m] = (m * s[m] - acc) / m
-        return TruncatedSeries(out)
+        return TruncatedSeries(log(self._c))
 
     def pow(self, alpha: float) -> "TruncatedSeries":
         """Real power of a series with unit constant term: exp(alpha*log)."""
@@ -301,15 +369,5 @@ class NormalizedFunction:
         return ratio.log()
 
     def inverse(self) -> TruncatedSeries:
-        """Compositional inverse F with f(F(w)) = w to self.order.
-
-        Built coefficient by coefficient: with A2..A(m-1) fixed and Am = 0,
-        the w^m coefficient of f(F(w)) is exactly the correction -Am.
-        """
-        n = self.order
-        inv = np.zeros(n + 1, dtype=np.complex128)
-        inv[1] = 1.0
-        for m in range(2, n + 1):
-            comp = self._series.compose(TruncatedSeries(inv))
-            inv[m] = -comp.coeffs[m]
-        return TruncatedSeries(inv)
+        """Compositional inverse F with f(F(w)) = w to self.order."""
+        return TruncatedSeries(inverse(self._series.coeffs))

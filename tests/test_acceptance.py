@@ -24,14 +24,15 @@ from fractions import Fraction
 import numpy as np
 
 from ozaki.classes import ClassLabel, coeffs_from_caratheodory_direct, \
-    libera_expand, LiberaParams, build_member, SchwarzCoeffs
+    libera_expand, LiberaParams, build_member, SchwarzCoeffs, \
+    caratheodory_array, solve_member
 from ozaki.cli import run
 from ozaki.functionals import CoeffTriple, full_report, toeplitz_t21_log
 from ozaki.gridsearch import grid_extremize
 from ozaki.objectives import OBJECTIVES, ObjectiveId
-from ozaki.sampling import SampleConfig, _batch_member, _draw_batch, \
-    _schwarz_rows, sample_and_check
-from ozaki.series import NormalizedFunction, TruncatedSeries, identity
+from ozaki.sampling import SampleConfig, _draw_batch, _schwarz_coeffs, \
+    sample_and_check
+from ozaki.series import NormalizedFunction, TruncatedSeries, div, identity
 
 F, G = ClassLabel.F, ClassLabel.G
 
@@ -254,16 +255,15 @@ def test_formula_consistency_suite():
     for label in (F, G):
         rng = np.random.default_rng(31337)
         batch = _draw_batch(rng, 10000, 3)
-        w = _schwarz_rows(batch, 8)
-        f = _batch_member(label, w)
-        c1, c2, c3 = w[:, 1], w[:, 2], w[:, 3]
+        w = _schwarz_coeffs(batch, 8)
+        c1, c2, c3 = w[1], w[2], w[3]
         one_plus = w.copy()
-        one_plus[:, 0] += 1.0
+        one_plus[0] += 1.0
         one_minus = -w
-        one_minus[:, 0] += 1.0
-        from ozaki.sampling import _batch_div
-        p = _batch_div(one_plus, one_minus)
-        p1, p2, p3 = p[:, 1], p[:, 2], p[:, 3]
+        one_minus[0] += 1.0
+        p = div(one_plus, one_minus)
+        f = solve_member(label, caratheodory_array(w))
+        p1, p2, p3 = p[1], p[2], p[3]
         if label is F:
             s_direct = (1.5 * c1, (4 * c1 ** 2 + c2) / 2,
                         (20 * c1 ** 3 + 13 * c1 * c2 + 2 * c3) / 8)
@@ -273,15 +273,15 @@ def test_formula_consistency_suite():
             s_direct = (-c1 / 2, -c2 / 6, -(c1 * c2 + 2 * c3) / 24)
             c_direct = (-p1 / 4, (p1 ** 2 - 2 * p2) / 24,
                         (-p1 ** 3 + 6 * p1 * p2 - 8 * p3) / 192)
-        ode = (f[:, 2], f[:, 3], f[:, 4])
+        ode = (f[2], f[3], f[4])
         for x, y in ((ode, s_direct), (ode, c_direct), (s_direct, c_direct)):
             for xv, yv in zip(x, y):
                 worst_routes = max(worst_routes, np.abs(xv - yv).max())
         # a handful of rows re-checked through the scalar path
         for i in range(0, 10000, 997):
-            m = build_member(label, SchwarzCoeffs(tuple(w[i, 1:])), 8)
+            m = build_member(label, SchwarzCoeffs(tuple(w[1:, i])), 8)
             worst_routes = max(worst_routes,
-                               np.abs(m.f.series.coeffs - f[i]).max())
+                               np.abs(m.f.series.coeffs - f[:, i]).max())
 
     worst_toeplitz = 0.0
     rng = np.random.default_rng(60)

@@ -225,3 +225,25 @@ def test_report_rejects_schwarz_with_caratheodory(capsys):
     assert main(["report", "--class", "F", "--schwarz", "0.3",
                  "--caratheodory", "0.2"]) == 1
     assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # p1 = 2 forces p = (1+z)/(1-z), so p3 must be 2
+    ("report", "--class", "F", "--caratheodory", "2,2,-2"),
+    ("report", "--class", "G", "--caratheodory", "-1.6,0.5"),
+    # passes the c1..c3 prefix bounds, but (c1, c2, c3) = (-0.63, -0.5, 0)
+    # violates |c3(1-|c1|^2) + conj(c1) c2^2| <= (1-|c1|^2)^2 - |c2|^2
+    ("report", "--class", "F", "--schwarz", "-0.63,-0.5"),
+])
+def test_non_member_input_exits_one(argv, capsys):
+    assert main(list(argv)) == 1
+    assert "Caratheodory-Toeplitz criterion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--class", "F", "--caratheodory", "2,2,2,2"),
+    ("report", "--class", "G", "--caratheodory", "0:0,2:0,0:0"),
+])
+def test_boundary_caratheodory_prefix_accepted(argv, capsys):
+    assert main(list(argv)) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"

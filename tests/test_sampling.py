@@ -7,14 +7,27 @@ import numpy as np
 import pytest
 
 from ozaki.classes import (BlaschkeSpec, ClassLabel, SchwarzCoeffs,
-                           build_member, schwarz_from_blaschke)
-from ozaki.functionals import full_report
+                           build_member, caratheodory_array,
+                           schwarz_from_blaschke, solve_member)
+from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
+                               full_report, inverse_crosscheck)
 from ozaki.ledger import LEDGER, check_extremals, entries_for
-from ozaki.sampling import (STAT_NAMES, SampleConfig, _batch_functionals,
-                            _batch_member, _draw_batch, _schwarz_rows,
-                            sample_and_check, spec_from_batch)
+from ozaki.sampling import (STAT_NAMES, SampleConfig, _draw_batch,
+                            _schwarz_coeffs, sample_and_check, spec_from_batch)
 
 F, G = ClassLabel.F, ClassLabel.G
+
+
+def batch_member(label, w):
+    """Members for the Schwarz columns of w, as the sampler builds them."""
+    return solve_member(label, caratheodory_array(w))
+
+
+def batch_values(f):
+    """Every named functional per column of f, and the inverse cross-check."""
+    report = evaluate(CoeffTriple(f[2], f[3], f[4]))
+    crosscheck = inverse_crosscheck(f, report)
+    return {name: value(report) for name, value in FUNCTIONAL_VALUES.items()}, crosscheck
 
 
 # ----------------------------------------------------------------------
@@ -62,16 +75,16 @@ def test_extremal_checks_filter_by_class():
 def test_batch_rows_match_scalar_path():
     rng = np.random.default_rng(3)
     batch = _draw_batch(rng, 200, 3)
-    w = _schwarz_rows(batch, 8)
+    w = _schwarz_coeffs(batch, 8)
     for label in (F, G):
-        f = _batch_member(label, w)
-        values, _ = _batch_functionals(f)
+        f = batch_member(label, w)
+        values, _ = batch_values(f)
         for i in range(0, 200, 7):
             spec = spec_from_batch(batch, i)
             ws = schwarz_from_blaschke(spec, 8)
-            np.testing.assert_allclose(np.asarray(ws.c), w[i, 1:], atol=1e-13)
+            np.testing.assert_allclose(np.asarray(ws.c), w[1:, i], atol=1e-13)
             m = build_member(label, ws, 8)
-            np.testing.assert_allclose(m.f.series.coeffs, f[i], atol=1e-12)
+            np.testing.assert_allclose(m.f.series.coeffs, f[:, i], atol=1e-12)
             r = full_report(m)
             assert values["T21_log"][i] == pytest.approx(r.T21_log, abs=1e-12)
             assert values["Gamma3_abs"][i] == pytest.approx(abs(r.Gamma3), abs=1e-12)
@@ -80,12 +93,12 @@ def test_batch_rows_match_scalar_path():
 
 
 def test_zero_schwarz_row_gives_identity_function():
-    w = np.zeros((1, 9), dtype=complex)
-    f = _batch_member(G, w)
+    w = np.zeros((9, 1), dtype=complex)
+    f = batch_member(G, w)
     want = np.zeros(9)
     want[1] = 1.0
-    np.testing.assert_allclose(f[0], want, atol=0)
-    values, _ = _batch_functionals(f)
+    np.testing.assert_allclose(f[:, 0], want, atol=0)
+    values, _ = batch_values(f)
     for name in STAT_NAMES:
         assert values[name][0] == 0.0
     # the identity sits strictly inside every bound
