@@ -20,13 +20,14 @@ from .functionals import (CoeffTriple, FunctionalReport,
                           NonRealSecondCoefficient, InverseSeriesMismatch,
                           inverse_coeffs, log_coeffs, log_inverse_coeffs,
                           schwarzian_initial, toeplitz_t21_log,
-                          rotate_to_real_a2, successive_diffs, full_report)
+                          rotate_to_real_a2, successive_diffs, full_report,
+                          FUNCTIONAL_VALUES)
 from .objectives import (ObjectiveId, DomainSpec, DomainKind, Objective,
                          OBJECTIVES, BOX, PARABOLIC, PointOutsideDomain,
                          eval_objective)
 from .gridsearch import OptResult, grid_extremize
 from .ledger import (BoundCheck, BoundEntry, ExtremalCheck, LEDGER,
-                     FUNCTIONAL_VALUES, entries_for, check_extremals)
+                     entries_for, check_extremals)
 from .sampling import (SampleConfig, SampleCheck, SampleReport,
                        sample_and_check, STAT_NAMES, THREADS_ENV_VAR)
 

@@ -88,32 +88,39 @@ class SchwarzCoeffs:
 
 
 _CARATHEODORY_TOL = 1e-9
+_CHECKED_PREFIX = 3   # a2, a3, a4 depend on p1, p2, p3
+
+
+def _require_caratheodory_prefix(p) -> None:
+    """Raise ValueError unless (p1, ..., pN) extends to a Caratheodory
+    function, that is (Caratheodory-Toeplitz) unless the Hermitian Toeplitz
+    matrix of (2, p1, ..., pN) is positive semidefinite."""
+    c = np.concatenate(([2.0], np.asarray(p, dtype=np.complex128)))
+    k = np.arange(c.size)
+    # entry (i, j) is p_(j-i) above the diagonal; eigvalsh reads only there
+    toeplitz = c[np.abs(k[None, :] - k[:, None])]
+    lowest = np.linalg.eigvalsh(toeplitz, UPLO="U")[0]
+    if lowest < -_CARATHEODORY_TOL:
+        raise ValueError(
+            f"(p1, ..., p{c.size - 1}) fails the Caratheodory-Toeplitz "
+            f"criterion: the Toeplitz matrix of (2, p1, ...) has "
+            f"eigenvalue {lowest:.3g} < 0")
 
 
 @dataclass(frozen=True)
 class CaratheodoryCoeffs:
     """Coefficients p1..pN of p(z) = 1 + sum p_k z^k with Re p > 0.
 
-    A prefix is accepted iff it extends to such a p, which by the
-    Caratheodory-Toeplitz theorem holds iff the Hermitian Toeplitz matrix of
-    (2, p1, ..., pN) is positive semidefinite.  Its 2x2 minors give |p_k| <= 2.
+    The given coefficients, zero-padded to p1..p3, must extend to such a p;
+    those above them are read as zero and are not checked.
     """
 
     p: tuple[complex, ...]
 
     def __post_init__(self):
-        vals = tuple(complex(v) for v in self.p)
-        c = np.array((2.0,) + vals, dtype=np.complex128)
-        k = np.arange(c.size)
-        # entry (i, j) is p_(j-i) above the diagonal; eigvalsh reads only there
-        toeplitz = c[np.abs(k[None, :] - k[:, None])]
-        lowest = np.linalg.eigvalsh(toeplitz, UPLO="U")[0]
-        if lowest < -_CARATHEODORY_TOL:
-            raise ValueError(
-                f"(p1, ..., p{len(vals)}) fails the Caratheodory-Toeplitz "
-                f"criterion: the Toeplitz matrix of (2, p1, ...) has "
-                f"eigenvalue {lowest:.3g} < 0")
-        object.__setattr__(self, "p", vals)
+        object.__setattr__(self, "p", tuple(complex(v) for v in self.p))
+        _require_caratheodory_prefix(
+            self.prefix(max(len(self.p), _CHECKED_PREFIX)))
 
     def prefix(self, k: int) -> tuple[complex, ...]:
         return tuple(self.p[i] if i < len(self.p) else 0.0 for i in range(k))
@@ -259,7 +266,8 @@ def caratheodory_array(w: np.ndarray) -> np.ndarray:
 
 
 def caratheodory_from_schwarz(c: SchwarzCoeffs, order: int) -> CaratheodoryCoeffs:
-    """Coefficients p1..p_order of p = (1 + w)/(1 - w)."""
+    """Coefficients p1..p_order of p = (1 + w)/(1 - w) for the polynomial
+    w = c1 z + ... + cN z^N; all of them are checked as given data."""
     p = caratheodory_array(c.series(order).coeffs)
     return CaratheodoryCoeffs(tuple(p[1:]))
 
@@ -300,25 +308,26 @@ def solve_member(label: ClassLabel, p: np.ndarray) -> np.ndarray:
 
 
 def build_member_from_caratheodory(label: ClassLabel, p: CaratheodoryCoeffs,
-                                   order: int,
-                                   provenance: SchwarzCoeffs | CaratheodoryCoeffs | str | None = None,
-                                   ) -> OzakiFunction:
+                                   order: int) -> OzakiFunction:
     """Solve the defining differential equation from Caratheodory data."""
     if order < 4:
         raise ValueError("order must be >= 4")
     f = TruncatedSeries(solve_member(label, p.series(order).coeffs))
-    return OzakiFunction(label, NormalizedFunction(f),
-                         p if provenance is None else provenance)
+    return OzakiFunction(label, NormalizedFunction(f), p)
 
 
 def build_member(label: ClassLabel, w: SchwarzCoeffs, order: int) -> OzakiFunction:
-    """Class member generated by the Schwarz function w."""
+    """Class member generated by the Schwarz function w; the rule of
+    :class:`CaratheodoryCoeffs` applies to the p1..pN that c1..cN determine."""
     if order < 4:
         raise ValueError("order must be >= 4")
     if not validate_schwarz_prefix(w):
         raise InvalidSchwarzPrefix(f"prefix {w.prefix(3)} fails the Schwarz bounds")
-    p = caratheodory_from_schwarz(w, order)
-    return build_member_from_caratheodory(label, p, order, provenance=w)
+    given = max(len(w.c), _CHECKED_PREFIX)
+    p = caratheodory_array(w.series(max(order, given)).coeffs)
+    _require_caratheodory_prefix(p[1: given + 1])
+    f = TruncatedSeries(solve_member(label, p[: order + 1]))
+    return OzakiFunction(label, NormalizedFunction(f), w)
 
 
 def _one_minus_z(order: int) -> TruncatedSeries:

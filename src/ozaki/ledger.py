@@ -21,7 +21,6 @@ __all__ = [
     "BoundEntry",
     "ExtremalCheck",
     "LEDGER",
-    "FUNCTIONAL_VALUES",
     "entries_for",
     "check_extremals",
 ]

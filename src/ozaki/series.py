@@ -84,7 +84,10 @@ class NotNormalized(SeriesError):
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 of a * b, accumulated in index order."""
+    """Sum over axis 0 of a * b: ``np.dot`` for one series (the cheaper call
+    on short vectors), ``einsum`` in index order for a batch."""
+    if a.ndim == 1:
+        return np.dot(a, b)
     return np.einsum("i...,i...->...", a, b)
 
 
@@ -148,17 +151,14 @@ def inverse(f: np.ndarray) -> np.ndarray:
     for m in range(2, f.shape[0]):
         head = inv[: m + 1]
         power = head
-        acc = np.zeros((1,) + f.shape[1:], dtype=np.complex128)
+        acc = np.zeros(f.shape[1:], dtype=np.complex128)
         for k in range(2, m + 1):
             # F^k vanishes below z^k, so only coefficients k..m are summed
             prev, power = power, np.zeros_like(head)
             for j in range(k, m + 1):
                 power[j] = _dot(prev[: j + 1], head[j::-1])
-            # products of length-1 slices, not of scalars: numpy rounds a
-            # complex product of arrays and of scalars differently, and one
-            # series must round like a column of a batch
-            acc += f[k: k + 1] * power[m: m + 1]
-        inv[m] = -acc[0]
+            acc += f[k] * power[m]
+        inv[m] = -acc
     return inv
 
 

@@ -243,6 +243,9 @@ def test_non_member_input_exits_one(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ("report", "--class", "F", "--caratheodory", "2,2,2,2"),
     ("report", "--class", "G", "--caratheodory", "0:0,2:0,0:0"),
+    # c1..c3 of the Schwarz function z(0.5 - z)/(1 - 0.5z), at any order
+    ("report", "--class", "F", "--schwarz", "0.5,-0.75,-0.375"),
+    ("report", "--class", "G", "--schwarz", "0.5,-0.75,-0.375", "--order", "12"),
 ])
 def test_boundary_caratheodory_prefix_accepted(argv, capsys):
     assert main(list(argv)) == 0

@@ -367,7 +367,11 @@ def test_mul_div_inverse_property(sa, sb):
 
 
 # ----------------------------------------------------------------------
-# coefficient-major kernels: a batch of columns equals each column alone
+# coefficient-major kernels: a batch of columns equals each column alone.
+# A batch of one rounds exactly like a column of a larger batch.  A 1-D
+# series goes through np.dot instead of einsum and may round differently in
+# the last bits, so it is compared to 1e-14 of its largest coefficient; the
+# largest such deviation over 400 seeds of these draws is 1.6e-15 (div).
 
 def random_batch(rng, order, n, head=None):
     """(order+1, n) coefficients in the unit disk, row 0 (and 1) pinned."""
@@ -397,8 +401,11 @@ def test_kernel_batch_equals_columns(name, n):
     args = [random_batch(rng, 8, n, head) for head in heads]
     batched = kernel(*args)
     for j in range(n):
+        np.testing.assert_array_equal(batched[:, j: j + 1],
+                                      kernel(*(a[:, j: j + 1] for a in args)))
         column = kernel(*(a[:, j] for a in args))
-        np.testing.assert_allclose(batched[:, j], column, atol=1e-15, rtol=0)
+        scale = max(1.0, np.abs(column).max())
+        np.testing.assert_allclose(batched[:, j], column, atol=1e-14 * scale, rtol=0)
 
 
 def test_mul_kernel_matches_convolve():
