@@ -6,12 +6,11 @@ __version__ = "0.1.0"
 from .series import (TruncatedSeries, NormalizedFunction, SeriesError,
                      DivisionByNonUnit, CompositionAtNonOrigin,
                      ExpOfNonZeroConstant, LogOfNonUnitConstant,
-                     PowOfNonUnitConstant, NotNormalized, linear_combine)
+                     PowOfNonUnitConstant, NotNormalized)
 from .classes import (ClassLabel, SchwarzCoeffs, CaratheodoryCoeffs,
                       LiberaParams, BlaschkeSpec, OzakiFunction,
-                      ZeroOutsideDisk, InvalidSchwarzPrefix,
-                      UnknownExtremalName, schwarz_from_blaschke,
-                      validate_schwarz_prefix, caratheodory_from_schwarz,
+                      ZeroOutsideDisk, UnknownExtremalName,
+                      schwarz_from_blaschke, caratheodory_from_schwarz,
                       libera_expand, build_member,
                       build_member_from_caratheodory, extremal_member,
                       coeffs_from_caratheodory_direct,

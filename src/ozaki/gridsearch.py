@@ -4,10 +4,12 @@ The extrema of the reduced objectives sit on region boundaries: the UpsilonF
 maximum on the x = 1 edge of the rectangle, the PhiG maximum on the p = 2
 edge, the PsiF and NG minima at its (0, 1) corner, and the maxima of the
 parabolic objectives at the (1, 0) corner.  So the search combines an
-R x R grid with explicit 1-D sampling of every boundary segment, then shrinks
-the window by a factor of 10 around the incumbent for a fixed number of
-refinement rounds.  For fixed (resolution, refine_iters) the result is
-deterministic, and the incumbent value is monotone in the number of rounds.
+R x R grid, whose first and last rows and columns are the straight edges of
+the region wherever they lie in the window, with explicit 1-D sampling of the
+curved edge v = 1 - u^2, then shrinks the window by a factor of 10 around the
+incumbent for a fixed number of refinement rounds.  For fixed
+(resolution, refine_iters) the result is deterministic, and the incumbent
+value is monotone in the number of rounds.
 
 The grid is searched row by row, without evaluating all R^2 points.  Every
 objective is a quadratic a(u) + b(u) v + c(u) v^2 in its second variable
@@ -50,34 +52,24 @@ class OptResult:
     gap: float | None
 
 
-def _boundary_segments(domain: DomainSpec, win: tuple[float, float, float, float],
-                       n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Points along each domain boundary segment, clipped to the window."""
-    u0, u1, v0, v1 = win
-    segs: list[tuple[np.ndarray, np.ndarray]] = []
+def _curved_edge(domain: DomainSpec, win: tuple[float, float, float, float],
+                n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Points of the curve v = 1 - u^2 bounding the parabolic region that lie
+    in the window, or None.
+
+    The straight edges need no sampling: the window is clipped to the bounds,
+    so an edge in it is the first or last grid row or column, at the same
+    points, and the row search already takes each row's exact maximum.
+    """
     if domain.kind is DomainKind.BOX:
-        for u_edge in (0.0, 2.0):
-            if u0 <= u_edge <= u1:
-                vv = np.linspace(v0, v1, n)
-                segs.append((np.full(n, u_edge), vv))
-        for v_edge in (0.0, 1.0):
-            if v0 <= v_edge <= v1:
-                uu = np.linspace(u0, u1, n)
-                segs.append((uu, np.full(n, v_edge)))
-    else:
-        if u0 <= 0.0 <= u1:
-            vv = np.linspace(v0, min(v1, 1.0), n)
-            segs.append((np.full(n, 0.0), vv))
-        if v0 <= 0.0 <= v1:
-            uu = np.linspace(u0, min(u1, 1.0), n)
-            segs.append((uu, np.full(n, 0.0)))
-        # the curve v = 1 - u^2, kept where it crosses the window
-        uu = np.linspace(u0, min(u1, 1.0), n)
-        vv = 1.0 - uu * uu
-        keep = (vv >= v0) & (vv <= v1)
-        if np.any(keep):
-            segs.append((uu[keep], vv[keep]))
-    return segs
+        return None
+    u0, u1, v0, v1 = win
+    uu = np.linspace(u0, min(u1, 1.0), n)
+    vv = 1.0 - uu * uu
+    keep = (vv >= v0) & (vv <= v1)
+    if not np.any(keep):
+        return None
+    return uu[keep], vv[keep]
 
 
 def _row_maxima(obj: Objective, sign: float, uu: np.ndarray,
@@ -143,7 +135,9 @@ def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
         if row_vals[i] > best:
             best = float(row_vals[i])
             best_pt = (float(uu[i]), float(vv[row_cols[i]]))
-        for su, sv in _boundary_segments(obj.domain, win, resolution):
+        edge = _curved_edge(obj.domain, win, resolution)
+        if edge is not None:
+            su, sv = edge
             bvals = sign * obj.fn(su, sv)
             k = int(np.argmax(bvals))
             if bvals[k] > best:

@@ -6,12 +6,16 @@ Schwarz functions by construction, so no rejection step is needed.  To probe
 near-extremal territory, 10% of the samples use the zero-free pure-rotation
 product and another 10% draw their Blaschke zeros with modulus at least 0.9.
 
-A chunk of members is held coefficient-major, as arrays of shape
-``(order+1, n)`` with one member per column, and runs through the same code
-as a single member: ``blaschke_product``, ``caratheodory_array`` and
-``solve_member`` of :mod:`ozaki.classes` on the series kernels of
-:mod:`ozaki.series`, then ``evaluate``, ``inverse_crosscheck`` and
-``FUNCTIONAL_VALUES`` of :mod:`ozaki.functionals`.  Samples are processed in
+A chunk of members is held coefficient-major, as arrays of shape ``(5, n)``
+with one member per column, and runs through the same code as a single
+member: ``blaschke_product``, ``caratheodory_array`` and ``solve_member`` of
+:mod:`ozaki.classes` on the series kernels of :mod:`ozaki.series`, then
+``evaluate``, ``inverse_crosscheck`` and ``FUNCTIONAL_VALUES`` of
+:mod:`ozaki.functionals`.  Every sampled functional and the inverse
+cross-check read only a2..a4, and coefficient k of every kernel depends only
+on inputs 0..k, so chunks are expanded to order 4 and ``SampleConfig.order``
+does not change sampled results (it is the order of the injected extremal
+members, whose a2..a4 do not depend on it either).  Samples are processed in
 fixed-size chunks with per-chunk child seeds, so results do not depend on
 how many worker threads execute the chunks (set ``OZAKI_THREADS`` to use
 more than one).
@@ -37,6 +41,7 @@ __all__ = ["SampleConfig", "SampleCheck", "SampleReport", "sample_and_check",
 
 THREADS_ENV_VAR = "OZAKI_THREADS"
 _CHUNK = 16384
+_SAMPLED_ORDER = 4   # a2..a4, all that the functionals read
 
 # sampler mix: pure rotations, boundary-hugging zeros, plain draws
 _PURE_ROTATION_SHARE = 0.10
@@ -204,11 +209,11 @@ def _summarize_chunk(f: np.ndarray, entries: tuple[BoundEntry, ...],
 
 
 def _run_chunk(label: ClassLabel, seed: np.random.SeedSequence, size: int,
-               order: int, max_zeros: int,
-               entries: tuple[BoundEntry, ...], tol: float) -> _ChunkSummary:
+               max_zeros: int, entries: tuple[BoundEntry, ...],
+               tol: float) -> _ChunkSummary:
     rng = np.random.default_rng(seed)
     batch = _draw_batch(rng, size, max_zeros)
-    p = caratheodory_array(_schwarz_coeffs(batch, order))
+    p = caratheodory_array(_schwarz_coeffs(batch, _SAMPLED_ORDER))
     return _summarize_chunk(solve_member(label, p), entries, tol)
 
 
@@ -228,19 +233,12 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
     sizes = [_CHUNK] * (nchunks - 1) + [cfg.count - _CHUNK * (nchunks - 1)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(nchunks)
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(
-                lambda i: _run_chunk(cfg.label, seeds[i], sizes[i], cfg.order,
-                                     cfg.blaschke_max_zeros, entries,
-                                     cfg.violation_tolerance),
-                range(nchunks)))
-    else:
-        summaries = [_run_chunk(cfg.label, seeds[i], sizes[i], cfg.order,
-                                cfg.blaschke_max_zeros, entries,
-                                cfg.violation_tolerance)
-                     for i in range(nchunks)]
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        summaries = list(pool.map(
+            lambda seed, size: _run_chunk(cfg.label, seed, size,
+                                          cfg.blaschke_max_zeros, entries,
+                                          cfg.violation_tolerance),
+            seeds, sizes))
 
     mins = {name: min(s.mins[name] for s in summaries) for name in STAT_NAMES}
     maxs = {name: max(s.maxs[name] for s in summaries) for name in STAT_NAMES}

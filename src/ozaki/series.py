@@ -48,7 +48,6 @@ __all__ = [
     "log",
     "antiderivative",
     "inverse",
-    "linear_combine",
     "zero",
     "constant",
     "identity",
@@ -308,14 +307,6 @@ class TruncatedSeries:
 
     def __pow__(self, alpha: float) -> "TruncatedSeries":
         return self.pow(alpha)
-
-
-def linear_combine(alpha: Complex, s: TruncatedSeries,
-                   beta: Complex, t: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise alpha*s + beta*t at the smaller operand order."""
-    n = min(s.order, t.order)
-    return TruncatedSeries(complex(alpha) * s.coeffs[: n + 1]
-                           + complex(beta) * t.coeffs[: n + 1])
 
 
 def zero(order: int) -> TruncatedSeries:

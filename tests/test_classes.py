@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from ozaki.classes import (BlaschkeSpec, CaratheodoryCoeffs, ClassLabel,
-                           InvalidSchwarzPrefix, LiberaParams, SchwarzCoeffs,
-                           UnknownExtremalName, ZeroOutsideDisk, build_member,
+                           LiberaParams, SchwarzCoeffs, UnknownExtremalName,
+                           ZeroOutsideDisk, build_member,
                            build_member_from_caratheodory,
                            caratheodory_from_schwarz,
                            coeffs_from_caratheodory_direct,
                            coeffs_from_schwarz_direct, extremal_member,
-                           libera_expand, schwarz_from_blaschke,
-                           validate_schwarz_prefix)
+                           libera_expand, schwarz_from_blaschke)
 
 F, G = ClassLabel.F, ClassLabel.G
 
@@ -89,23 +88,38 @@ def test_generated_schwarz_functions_validate():
         zeros = tuple((rng.uniform(0, 1) ** 0.5) * np.exp(2j * np.pi * rng.uniform())
                       for _ in range(nz))
         spec = BlaschkeSpec(rotation=rng.uniform(0, 2 * np.pi), zeros=zeros)
-        assert validate_schwarz_prefix(schwarz_from_blaschke(spec, 8))
+        build_member(F, schwarz_from_blaschke(spec, 8), 8)
 
 
 # ----------------------------------------------------------------------
-# prefix validation
+# prefix membership: build_member applies the Caratheodory-Toeplitz rule
 
 def test_prefix_boundary_case():
-    assert validate_schwarz_prefix(SchwarzCoeffs((1.0, 0.0, 0.0)))
+    build_member(F, SchwarzCoeffs((1.0, 0.0, 0.0)), 8)
 
 
 def test_prefix_c2_boundary():
-    assert validate_schwarz_prefix(SchwarzCoeffs((0.5, 0.75, 0.0)))
+    # |c2| = 1 - |c1|^2 makes w a Blaschke product of degree 2, which forces
+    # c3 = -conj(c1) c2^2 / (1 - |c1|^2) = -0.375
+    build_member(F, SchwarzCoeffs((0.5, 0.75, -0.375)), 8)
+    with pytest.raises(ValueError, match="Caratheodory-Toeplitz"):
+        build_member(F, SchwarzCoeffs((0.5, 0.75, 0.0)), 8)
 
 
 def test_prefix_c3_violation():
-    # c3 bound is 1 - 0.25 - 0.5625/1.5 = 0.375 < 0.4
-    assert not validate_schwarz_prefix(SchwarzCoeffs((0.5, 0.75, 0.4)))
+    # with c2 = 0 the largest |c3| is 1 - |c1|^2 = 0.75
+    build_member(F, SchwarzCoeffs((0.5, 0.0, 0.75)), 8)
+    with pytest.raises(ValueError, match="Caratheodory-Toeplitz"):
+        build_member(F, SchwarzCoeffs((0.5, 0.0, 0.76)), 8)
+
+
+def test_non_finite_prefix_rejected():
+    # inf and nan coefficients, given or (for 1e200) from overflow in p
+    for c in ((float("nan"),), (float("inf"),), (1e200,)):
+        with pytest.raises(ValueError), np.errstate(all="ignore"):
+            build_member(F, SchwarzCoeffs(c), 8)
+    with pytest.raises(ValueError):
+        CaratheodoryCoeffs((float("nan"),))
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +212,7 @@ def test_build_g_member_from_w_equals_z_squared():
 
 
 def test_build_member_rejects_invalid_prefix():
-    with pytest.raises(InvalidSchwarzPrefix):
+    with pytest.raises(ValueError, match="Caratheodory-Toeplitz"):
         build_member(F, SchwarzCoeffs((0.5, 0.75, 0.4)), 8)
 
 

@@ -184,6 +184,15 @@ def test_repeat_same_command_byte_identical():
     assert run(argv) == run(argv)
 
 
+def test_sample_order_does_not_change_results():
+    base = ("sample", "--class", "F", "--samples", "20000", "--seed", "3")
+    envs = [invoke(*base, "--order", order) for order in ("8", "12")]
+    assert [env["payload"].pop("order") for _, env in envs] == [8, 12]
+    for _, env in envs:
+        del env["command_echo"]
+    assert envs[0] == envs[1]
+
+
 def test_subprocess_determinism_and_thread_invariance():
     import os
     cmd = [sys.executable, "-m", "ozaki.cli", "sample", "--class", "G",
@@ -250,3 +259,14 @@ def test_non_member_input_exits_one(argv, capsys):
 def test_boundary_caratheodory_prefix_accepted(argv, capsys):
     assert main(list(argv)) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("overshoot, code", [(1e-11, 0), (1e-6, 1)])
+def test_schwarz_and_caratheodory_sources_share_one_rule(overshoot, code, capsys):
+    """w = cz and p = (1 + cz)/(1 - cz), p_k = 2c^k, are one function given
+    two ways; |c| just above 1 is inside the 1e-9 band at 1e-11 and not at
+    1e-6, whichever way it is given."""
+    c = 1.0 + overshoot
+    p = ",".join(repr(2.0 * c ** k) for k in (1, 2, 3))
+    assert main(["report", "--class", "F", "--schwarz", repr(c)]) == code
+    assert main(["report", "--class", "F", "--caratheodory", p]) == code

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ozaki.gridsearch import OptResult, _boundary_segments, grid_extremize
-from ozaki.objectives import OBJECTIVES, ObjectiveId
+from ozaki.gridsearch import OptResult, grid_extremize
+from ozaki.objectives import OBJECTIVES, DomainKind, ObjectiveId
 
 # modest resolution here; the acceptance suite runs the full 2000/3 setting
 RES, REFINE = 600, 2
@@ -84,8 +84,38 @@ def test_parameter_validation():
         grid_extremize(ObjectiveId.CHI_F, mode="extremize")
 
 
+def _boundary_segments(domain, win, n):
+    """Points along each domain boundary segment, clipped to the window."""
+    u0, u1, v0, v1 = win
+    segs = []
+    if domain.kind is DomainKind.BOX:
+        for u_edge in (0.0, 2.0):
+            if u0 <= u_edge <= u1:
+                vv = np.linspace(v0, v1, n)
+                segs.append((np.full(n, u_edge), vv))
+        for v_edge in (0.0, 1.0):
+            if v0 <= v_edge <= v1:
+                uu = np.linspace(u0, u1, n)
+                segs.append((uu, np.full(n, v_edge)))
+    else:
+        if u0 <= 0.0 <= u1:
+            vv = np.linspace(v0, min(v1, 1.0), n)
+            segs.append((np.full(n, 0.0), vv))
+        if v0 <= 0.0 <= v1:
+            uu = np.linspace(u0, min(u1, 1.0), n)
+            segs.append((uu, np.full(n, 0.0)))
+        # the curve v = 1 - u^2, kept where it crosses the window
+        uu = np.linspace(u0, min(u1, 1.0), n)
+        vv = 1.0 - uu * uu
+        keep = (vv >= v0) & (vv <= v1)
+        if np.any(keep):
+            segs.append((uu[keep], vv[keep]))
+    return segs
+
+
 def _dense_extremize(oid, mode, resolution, refine_iters):
-    """Reference: the full R x R grid per round, first flat argmax wins."""
+    """Reference: the full R x R grid per round, first flat argmax wins, plus
+    a sweep of every boundary segment, the straight edges included."""
     obj = OBJECTIVES[oid]
     (u_lo, u_hi), (v_lo, v_hi) = obj.domain.bounds()
     sign = 1.0 if mode == "max" else -1.0

@@ -19,7 +19,7 @@ from ozaki.series import (CompositionAtNonOrigin, DivisionByNonUnit,
                           ExpOfNonZeroConstant, LogOfNonUnitConstant,
                           NormalizedFunction, NotNormalized,
                           PowOfNonUnitConstant, SeriesError, TruncatedSeries,
-                          constant, identity, linear_combine, zero)
+                          constant, identity, zero)
 
 
 def series(*coeffs):
@@ -71,23 +71,7 @@ def binomial_pow_oracle(alpha, order, square=False):
 
 
 # ----------------------------------------------------------------------
-# linear_combine / mul / div
-
-def test_linear_combine_addition():
-    got = linear_combine(1, series(0, 1, 0), 1, series(0, 0, 1))
-    assert_coeffs(got, [0, 1, 1], tol=0)
-
-
-def test_linear_combine_scaling():
-    got = linear_combine(2, series(1, 0, 0), 0, series(9, 9, 9))
-    assert_coeffs(got, [2, 0, 0], tol=0)
-
-
-def test_linear_combine_strips_linear_part():
-    f1 = series(0, 1, 1.5, 2)
-    got = linear_combine(1, f1, -1, series(0, 1, 0, 0))
-    assert_coeffs(got, [0, 0, 1.5, 2], tol=0)
-
+# mul / div
 
 def test_mul_one_minus_z_times_one_plus_z():
     assert_coeffs(series(1, 1) * series(1, -1), [1, 0], tol=0)
