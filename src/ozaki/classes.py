@@ -90,15 +90,16 @@ def _require_caratheodory_prefix(p) -> None:
     function, that is (Caratheodory-Toeplitz) unless the Hermitian Toeplitz
     matrix of (2, p1, ..., pN) is positive semidefinite."""
     c = np.concatenate(([2.0], np.asarray(p, dtype=np.complex128)))
+    name = f"(p1, ..., p{c.size - 1}) fails the Caratheodory-Toeplitz criterion"
+    if not np.all(np.isfinite(c)):   # LAPACK does not converge on these
+        raise ValueError(f"{name}: it has a non-finite coefficient")
     k = np.arange(c.size)
     # entry (i, j) is p_(j-i) above the diagonal; eigvalsh reads only there
     toeplitz = c[np.abs(k[None, :] - k[:, None])]
     lowest = np.linalg.eigvalsh(toeplitz, UPLO="U")[0]
-    if not lowest >= -_CARATHEODORY_TOL:   # NaN, from non-finite data, fails
-        raise ValueError(
-            f"(p1, ..., p{c.size - 1}) fails the Caratheodory-Toeplitz "
-            f"criterion: the Toeplitz matrix of (2, p1, ...) has "
-            f"eigenvalue {lowest:.3g} < 0")
+    if not lowest >= -_CARATHEODORY_TOL:
+        raise ValueError(f"{name}: the Toeplitz matrix of (2, p1, ...) has "
+                         f"eigenvalue {lowest:.3g} < 0")
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,9 @@ def build_member(label: ClassLabel, w: SchwarzCoeffs, order: int) -> OzakiFuncti
     if order < 4:
         raise ValueError("order must be >= 4")
     given = max(len(w.c), _CHECKED_PREFIX)
-    p = caratheodory_array(w.series(max(order, given)).coeffs)
+    # huge or non-finite c overflows to non-finite p, which the rule rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = caratheodory_array(w.series(max(order, given)).coeffs)
     _require_caratheodory_prefix(p[1: given + 1])
     f = TruncatedSeries(solve_member(label, p[: order + 1]))
     return OzakiFunction(label, NormalizedFunction(f), w)

@@ -16,6 +16,7 @@ command with the same seed yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import csv
 import json
@@ -23,6 +24,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
 from typing import Any, Sequence
 
 from . import __version__
@@ -31,9 +33,9 @@ from .classes import (CaratheodoryCoeffs, ClassLabel, SchwarzCoeffs,
                       coeffs_from_caratheodory_direct,
                       coeffs_from_schwarz_direct, extremal_member,
                       EXTREMAL_NAMES)
-from .functionals import full_report
+from .functionals import FunctionalReport, full_report
 from .gridsearch import grid_extremize
-from .ledger import LEDGER, check_extremals
+from .ledger import check_extremals
 from .objectives import OBJECTIVES, ObjectiveId
 from .sampling import SampleConfig, sample_and_check
 
@@ -101,17 +103,16 @@ def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def emit(envelope: dict, fmt: str) -> str:
-    """Serialize an output envelope to JSON or CSV text."""
+def emit(envelope: dict, fmt: str, csv_rows: list[tuple] | None = None) -> str:
+    """Serialize an output envelope to JSON, or its CSV rows to CSV text."""
     if fmt == "json":
         return _jsonval(envelope, 0) + "\n"
     if fmt == "csv":
-        rows = envelope["payload"].get("_csv")
-        if rows is None:
+        if csv_rows is None:
             raise _UsageError("csv format applies to sample and optimize output only")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        for row in rows:
+        for row in csv_rows:
             writer.writerow([_fmt_float(v) if isinstance(v, float) else v
                              for v in row])
         return buf.getvalue()
@@ -231,9 +232,15 @@ def _build_parser() -> _Parser:
 
 
 # ----------------------------------------------------------------------
-# subcommand payloads
+# subcommand payloads: (payload, status, CSV rows or None)
 
-def _payload_extremal(args) -> tuple[dict, str]:
+_Payload = tuple[dict, str, list[tuple] | None]
+
+# FunctionalReport fields in payload order
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(FunctionalReport))
+
+
+def _payload_extremal(args) -> _Payload:
     member = extremal_member(args.name, args.order)
     payload = {
         "name": args.name,
@@ -241,7 +248,7 @@ def _payload_extremal(args) -> tuple[dict, str]:
         "order": member.order,
         "coefficients": [_num(c) for c in member.f.series.coeffs],
     }
-    return payload, "ok"
+    return payload, "ok", None
 
 
 def _member_from_args(args):
@@ -265,7 +272,7 @@ def _member_from_args(args):
     return member, src
 
 
-def _payload_coeffs(args) -> tuple[dict, str]:
+def _payload_coeffs(args) -> _Payload:
     label = _class_of(args.label)
     member, src = _member_from_args(args)
     # the provenance is the parsed (and membership-checked) input
@@ -284,71 +291,50 @@ def _payload_coeffs(args) -> tuple[dict, str]:
                            "a4": _num(direct[2])},
         "series": [_num(c) for c in member.f.series.coeffs],
     }
-    return payload, "ok"
+    return payload, "ok", None
 
 
-def _payload_report(args) -> tuple[dict, str]:
+def _payload_report(args) -> _Payload:
     member, src = _member_from_args(args)
     r = full_report(member)
-    payload = {
-        "label": member.label.value,
-        **src,
-        "order": member.order,
-        "a2": _num(r.a2), "a3": _num(r.a3), "a4": _num(r.a4),
-        "A2": _num(r.A2), "A3": _num(r.A3), "A4": _num(r.A4),
-        "gamma1": _num(r.gamma1), "gamma2": _num(r.gamma2),
-        "Gamma1": _num(r.Gamma1), "Gamma2": _num(r.Gamma2),
-        "Gamma3": _num(r.Gamma3),
-        "S3": _num(r.S3), "S4": _num(r.S4),
-        "T21_log": r.T21_log,
-        "diff_A": r.diff_A, "diff_Gamma": r.diff_Gamma,
-    }
-    return payload, "ok"
+    payload = {"label": member.label.value, **src, "order": member.order}
+    payload.update((name, _num(getattr(r, name))) for name in _REPORT_FIELDS)
+    return payload, "ok", None
 
 
-def _payload_verify(args) -> tuple[dict, str]:
+def _payload_verify(args) -> _Payload:
+    if not 0.0 <= args.tol < math.inf:   # NaN fails too
+        raise _UsageError(f"--tol must be a finite tolerance >= 0, got {args.tol}")
     labels = None if args.label == "all" else (_class_of(args.label),)
     rows = check_extremals(labels=labels, order=args.order)
-    wanted = LEDGER if labels is None else tuple(
-        e for e in LEDGER if e.label in labels)
-    entries = []
-    worst = 0.0
-    failures = 0
-    by_key = {(r.label, r.functional, r.side): r for r in rows}
-    for entry in wanted:
-        checks = []
-        for chk in entry.checks:
-            r = by_key[(entry.label, entry.functional, chk.side)]
-            ok = abs(r.residual) <= args.tol
-            failures += 0 if ok else 1
-            worst = max(worst, abs(r.residual))
-            checks.append({
-                "side": chk.side,
-                "bound": _frac(chk.bound),
-                "bound_value": float(chk.bound),
-                "witness": chk.witness,
-                "computed": r.computed,
-                "residual": r.residual,
-                "ok": ok,
-            })
-        entries.append({
-            "label": entry.label.value,
-            "functional": entry.functional,
-            "kind": entry.kind,
-            "checks": checks,
-        })
+    entries = [{
+        "label": label.value,
+        "functional": functional,
+        "kind": kind,
+        "checks": [{
+            "side": r.side,
+            "bound": _frac(r.bound),
+            "bound_value": float(r.bound),
+            "witness": r.witness,
+            "computed": r.computed,
+            "residual": r.residual,
+            "ok": abs(r.residual) <= args.tol,
+        } for r in group],
+    } for (label, functional, kind), group in groupby(
+        rows, key=lambda r: (r.label, r.functional, r.kind))]
+    failures = sum(not c["ok"] for e in entries for c in e["checks"])
     payload = {
         "order": args.order,
         "tolerance": args.tol,
         "entry_count": len(entries),
         "entries": entries,
-        "max_abs_residual": worst,
+        "max_abs_residual": max(abs(r.residual) for r in rows),
         "failures": failures,
     }
-    return payload, ("ok" if failures == 0 else "bound_violation")
+    return payload, ("ok" if failures == 0 else "bound_violation"), None
 
 
-def _payload_optimize(args) -> tuple[dict, str]:
+def _payload_optimize(args) -> _Payload:
     if args.objective == "all":
         ids = list(OBJECTIVES)
     else:
@@ -375,30 +361,26 @@ def _payload_optimize(args) -> tuple[dict, str]:
         "resolution": args.resolution,
         "refine": args.refine,
         "results": results,
-        "_csv": csv_rows,
     }
-    return payload, "ok"
+    return payload, "ok", csv_rows
 
 
-def _payload_sample(args) -> tuple[dict, str]:
+def _payload_sample(args) -> _Payload:
     cfg = SampleConfig(label=_class_of(args.label), count=args.samples,
                        order=args.order, seed=args.seed,
                        blaschke_max_zeros=args.max_zeros,
                        include_extremals=not args.no_extremals,
                        violation_tolerance=args.tol)
     report = sample_and_check(cfg)
-    bounded = {(c.functional, c.side): c for c in report.checks}
     csv_rows: list[tuple] = [("name", "empirical_min", "empirical_max",
                               "bound", "margin")]
     functionals = []
     for name, lo, hi in report.stats:
         functionals.append({"name": name, "min": lo, "max": hi})
-        sides = [(f, s) for (f, s) in bounded if f == name]
-        if sides:
-            for f, s in sides:
-                c = bounded[(f, s)]
-                csv_rows.append((f"{name}_{s}", lo, hi, float(c.bound), c.margin))
-        else:
+        sides = [c for c in report.checks if c.functional == name]
+        for c in sides:
+            csv_rows.append((f"{name}_{c.side}", lo, hi, float(c.bound), c.margin))
+        if not sides:
             csv_rows.append((name, lo, hi, "", ""))
     checks = [{
         "functional": c.functional,
@@ -411,19 +393,18 @@ def _payload_sample(args) -> tuple[dict, str]:
     } for c in report.checks]
     payload = {
         "label": args.label,
-        "count": report.count,
-        "order": report.order,
-        "max_zeros": report.blaschke_max_zeros,
-        "include_extremals": report.include_extremals,
-        "tolerance": report.violation_tolerance,
+        "count": cfg.count,
+        "order": cfg.order,
+        "max_zeros": cfg.blaschke_max_zeros,
+        "include_extremals": cfg.include_extremals,
+        "tolerance": cfg.violation_tolerance,
         "functionals": functionals,
         "checks": checks,
         "worst_margin": report.worst_margin,
         "total_violations": report.total_violations,
         "inverse_crosscheck_residual": report.inverse_crosscheck_residual,
-        "_csv": csv_rows,
     }
-    return payload, ("ok" if report.ok else "bound_violation")
+    return payload, ("ok" if report.ok else "bound_violation"), csv_rows
 
 
 _DISPATCH = {
@@ -440,14 +421,10 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
     """Execute one command line; returns (exit status, output text)."""
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(argv))
-    payload, status = _DISPATCH[args.subcommand](args)
-    seed = getattr(args, "seed", None)
-    command = " ".join(argv)
-    payload_out = {k: v for k, v in payload.items() if k != "_csv"}
-    if args.format == "csv":
-        text = emit({"payload": payload}, "csv")
-    else:
-        text = emit(_envelope(command, payload_out, status, seed=seed), "json")
+    payload, status, csv_rows = _DISPATCH[args.subcommand](args)
+    envelope = _envelope(" ".join(argv), payload, status,
+                         seed=getattr(args, "seed", None))
+    text = emit(envelope, args.format, csv_rows)
     code = 0 if status == "ok" else 2
     return code, text
 

@@ -241,8 +241,6 @@ def full_report(fn: OzakiFunction | NormalizedFunction) -> FunctionalReport:
     ``INVERSE_CROSSCHECK_TOL`` raises :class:`InverseSeriesMismatch`.
     """
     f = fn.f if isinstance(fn, OzakiFunction) else fn
-    if f.order < 4:
-        raise ValueError("full report needs order >= 4")
     report = evaluate(CoeffTriple.from_function(f))
     inverse_crosscheck(f.series.coeffs, report)
     return report

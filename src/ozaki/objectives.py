@@ -126,32 +126,22 @@ def _delta_g(u, v):
 class Objective:
     """One reduced objective with its region and tabulated extremum."""
 
-    id: ObjectiveId
     domain: DomainSpec
     fn: Callable
     mode: str               # direction of the tabulated extremum: "max" | "min"
     target: Fraction        # the paper's tabulated extremum (UpsilonF: 95/256,
                             # below the true maximum 45/121)
-    target_point: tuple[float, float]  # the paper's point attaining it
 
 
 OBJECTIVES: dict[ObjectiveId, Objective] = {
-    ObjectiveId.UPSILON_F: Objective(ObjectiveId.UPSILON_F, BOX, _upsilon_f,
-                                     "max", Fraction(95, 256), (2.0, 0.0)),
-    ObjectiveId.PSI_F: Objective(ObjectiveId.PSI_F, BOX, _psi_f,
-                                 "min", Fraction(-1, 16), (0.0, 1.0)),
-    ObjectiveId.PHI_G: Objective(ObjectiveId.PHI_G, BOX, _phi_g,
-                                 "max", Fraction(15, 256), (2.0, 0.0)),
-    ObjectiveId.N_G: Objective(ObjectiveId.N_G, BOX, _n_g,
-                               "min", Fraction(-1, 144), (0.0, 1.0)),
-    ObjectiveId.CHI_F: Objective(ObjectiveId.CHI_F, PARABOLIC, _chi_f,
-                                 "max", Fraction(7, 8), (1.0, 0.0)),
-    ObjectiveId.M_F: Objective(ObjectiveId.M_F, PARABOLIC, _m_f,
-                               "max", Fraction(25, 16), (1.0, 0.0)),
-    ObjectiveId.S_G: Objective(ObjectiveId.S_G, PARABOLIC, _s_g,
-                               "max", Fraction(5, 24), (1.0, 0.0)),
-    ObjectiveId.DELTA_G: Objective(ObjectiveId.DELTA_G, PARABOLIC, _delta_g,
-                                   "max", Fraction(6, 1), (1.0, 0.0)),
+    ObjectiveId.UPSILON_F: Objective(BOX, _upsilon_f, "max", Fraction(95, 256)),
+    ObjectiveId.PSI_F: Objective(BOX, _psi_f, "min", Fraction(-1, 16)),
+    ObjectiveId.PHI_G: Objective(BOX, _phi_g, "max", Fraction(15, 256)),
+    ObjectiveId.N_G: Objective(BOX, _n_g, "min", Fraction(-1, 144)),
+    ObjectiveId.CHI_F: Objective(PARABOLIC, _chi_f, "max", Fraction(7, 8)),
+    ObjectiveId.M_F: Objective(PARABOLIC, _m_f, "max", Fraction(25, 16)),
+    ObjectiveId.S_G: Objective(PARABOLIC, _s_g, "max", Fraction(5, 24)),
+    ObjectiveId.DELTA_G: Objective(PARABOLIC, _delta_g, "max", Fraction(6, 1)),
 }
 
 

@@ -23,6 +23,7 @@ more than one).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from .classes import (ClassLabel, blaschke_product, caratheodory_array,
                       extremal_member, solve_member)
 from .functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate, full_report,
                           inverse_crosscheck)
-from .ledger import BoundEntry, entries_for
+from .ledger import BoundCheck, entries_for
 
 __all__ = ["SampleConfig", "SampleCheck", "SampleReport", "sample_and_check",
            "STAT_NAMES", "THREADS_ENV_VAR"]
@@ -69,8 +70,9 @@ class SampleConfig:
             raise ValueError("order must be >= 8")
         if self.blaschke_max_zeros < 0:
             raise ValueError("blaschke_max_zeros must be >= 0")
-        if self.violation_tolerance <= 0:
-            raise ValueError("violation tolerance must be positive")
+        if not 0 < self.violation_tolerance < math.inf:   # NaN fails too
+            raise ValueError(f"violation tolerance must be positive and "
+                             f"finite, got {self.violation_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,10 @@ class SampleCheck:
 
 @dataclass(frozen=True)
 class SampleReport:
-    label: ClassLabel
-    count: int
-    order: int
-    seed: int
-    blaschke_max_zeros: int
-    include_extremals: bool
-    violation_tolerance: float
+    """Outcome of one sampling run; ``config`` is the :class:`SampleConfig`
+    that produced it."""
+
+    config: SampleConfig
     stats: tuple[tuple[str, float, float], ...]  # (name, min, max)
     checks: tuple[SampleCheck, ...]
     worst_margin: float
@@ -102,7 +101,8 @@ class SampleReport:
 
     @property
     def ok(self) -> bool:
-        return self.total_violations == 0 and self.worst_margin <= self.violation_tolerance
+        return (self.total_violations == 0
+                and self.worst_margin <= self.config.violation_tolerance)
 
 
 # ----------------------------------------------------------------------
@@ -178,43 +178,31 @@ def spec_from_batch(batch: _BlaschkeBatch, i: int):
 # ----------------------------------------------------------------------
 # chunked execution and merging
 
-@dataclass
-class _ChunkSummary:
-    mins: dict[str, float]
-    maxs: dict[str, float]
-    violations: dict[tuple[str, str], int]   # (functional, side) -> count
-    crosscheck: float
-
-
-def _summarize_chunk(f: np.ndarray, entries: tuple[BoundEntry, ...],
-                     tol: float) -> _ChunkSummary:
-    """Ranges and bound violations of the members with coefficients f."""
-    report = evaluate(CoeffTriple(f[2], f[3], f[4]))
-    crosscheck = inverse_crosscheck(f, report)
-    values = {name: value(report) for name, value in FUNCTIONAL_VALUES.items()}
-    mins = {name: float(np.min(v)) for name, v in values.items()}
-    maxs = {name: float(np.max(v)) for name, v in values.items()}
-    violations: dict[tuple[str, str], int] = {}
-    for entry in entries:
-        for chk in entry.checks:
-            vals = values[entry.functional]
-            bound = float(chk.bound)
-            if chk.side == "upper":
-                bad = int(np.sum(vals > bound + tol))
-            else:
-                bad = int(np.sum(vals < bound - tol))
-            violations[(entry.functional, chk.side)] = bad
-    return _ChunkSummary(mins=mins, maxs=maxs, violations=violations,
-                         crosscheck=crosscheck)
-
-
 def _run_chunk(label: ClassLabel, seed: np.random.SeedSequence, size: int,
-               max_zeros: int, entries: tuple[BoundEntry, ...],
-               tol: float) -> _ChunkSummary:
+               max_zeros: int, sides: tuple[tuple[str, BoundCheck], ...],
+               tol: float) -> tuple[list[float], list[float], list[int], float]:
+    """Per-functional minima and maxima (in ``STAT_NAMES`` order), violation
+    counts per bound side (in ``sides`` order) and the inverse cross-check of
+    one chunk of sampled members."""
     rng = np.random.default_rng(seed)
     batch = _draw_batch(rng, size, max_zeros)
     p = caratheodory_array(_schwarz_coeffs(batch, _SAMPLED_ORDER))
-    return _summarize_chunk(solve_member(label, p), entries, tol)
+    f = solve_member(label, p)
+    report = evaluate(CoeffTriple(f[2], f[3], f[4]))
+    crosscheck = inverse_crosscheck(f, report)
+    values = {name: value(report) for name, value in FUNCTIONAL_VALUES.items()}
+    mins = [float(np.min(v)) for v in values.values()]
+    maxs = [float(np.max(v)) for v in values.values()]
+    violations = []
+    for functional, chk in sides:
+        vals = values[functional]
+        bound = float(chk.bound)
+        if chk.side == "upper":
+            bad = int(np.sum(vals > bound + tol))
+        else:
+            bad = int(np.sum(vals < bound - tol))
+        violations.append(bad)
+    return mins, maxs, violations, crosscheck
 
 
 def _thread_count() -> int:
@@ -228,23 +216,23 @@ def _thread_count() -> int:
 def sample_and_check(cfg: SampleConfig) -> SampleReport:
     """Generate cfg.count members, evaluate every functional, and compare the
     empirical ranges against the sharp bounds of cfg.label."""
-    entries = entries_for(cfg.label)
+    sides = tuple((e.functional, chk) for e in entries_for(cfg.label)
+                  for chk in e.checks)
     nchunks = -(-cfg.count // _CHUNK)
     sizes = [_CHUNK] * (nchunks - 1) + [cfg.count - _CHUNK * (nchunks - 1)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(nchunks)
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        summaries = list(pool.map(
+        chunks = list(pool.map(
             lambda seed, size: _run_chunk(cfg.label, seed, size,
-                                          cfg.blaschke_max_zeros, entries,
+                                          cfg.blaschke_max_zeros, sides,
                                           cfg.violation_tolerance),
             seeds, sizes))
 
-    mins = {name: min(s.mins[name] for s in summaries) for name in STAT_NAMES}
-    maxs = {name: max(s.maxs[name] for s in summaries) for name in STAT_NAMES}
-    violations = {key: sum(s.violations[key] for s in summaries)
-                  for key in summaries[0].violations}
-    crosscheck = max(s.crosscheck for s in summaries)
+    chunk_mins, chunk_maxs, chunk_violations, crosschecks = zip(*chunks)
+    mins = {name: min(col) for name, col in zip(STAT_NAMES, zip(*chunk_mins))}
+    maxs = {name: max(col) for name, col in zip(STAT_NAMES, zip(*chunk_maxs))}
+    violations = [sum(col) for col in zip(*chunk_violations)]
 
     if cfg.include_extremals:
         names = ("f1", "f2") if cfg.label is ClassLabel.F else ("g1", "g2")
@@ -256,30 +244,19 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
                 maxs[stat] = max(maxs[stat], v)
 
     checks = []
-    worst = -np.inf
-    total = 0
-    for entry in entries:
-        for chk in entry.checks:
-            if chk.side == "upper":
-                empirical = maxs[entry.functional]
-                margin = empirical - float(chk.bound)
-            else:
-                empirical = mins[entry.functional]
-                margin = float(chk.bound) - empirical
-            bad = violations[(entry.functional, chk.side)]
-            checks.append(SampleCheck(functional=entry.functional,
-                                      side=chk.side, bound=chk.bound,
-                                      empirical=empirical, margin=margin,
-                                      violations=bad))
-            worst = max(worst, margin)
-            total += bad
+    for (functional, chk), bad in zip(sides, violations):
+        if chk.side == "upper":
+            empirical = maxs[functional]
+            margin = empirical - float(chk.bound)
+        else:
+            empirical = mins[functional]
+            margin = float(chk.bound) - empirical
+        checks.append(SampleCheck(functional=functional, side=chk.side,
+                                  bound=chk.bound, empirical=empirical,
+                                  margin=margin, violations=bad))
 
     stats = tuple((name, mins[name], maxs[name]) for name in STAT_NAMES)
-    return SampleReport(label=cfg.label, count=cfg.count, order=cfg.order,
-                        seed=cfg.seed,
-                        blaschke_max_zeros=cfg.blaschke_max_zeros,
-                        include_extremals=cfg.include_extremals,
-                        violation_tolerance=cfg.violation_tolerance,
-                        stats=stats, checks=tuple(checks),
-                        worst_margin=float(worst), total_violations=total,
-                        inverse_crosscheck_residual=crosscheck)
+    return SampleReport(config=cfg, stats=stats, checks=tuple(checks),
+                        worst_margin=max(c.margin for c in checks),
+                        total_violations=sum(violations),
+                        inverse_crosscheck_residual=max(crosschecks))

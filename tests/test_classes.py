@@ -1,6 +1,7 @@
 """Construction of class F and G members and their coefficient formulas."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -114,12 +115,16 @@ def test_prefix_c3_violation():
 
 
 def test_non_finite_prefix_rejected():
-    # inf and nan coefficients, given or (for 1e200) from overflow in p
-    for c in ((float("nan"),), (float("inf"),), (1e200,)):
-        with pytest.raises(ValueError), np.errstate(all="ignore"):
-            build_member(F, SchwarzCoeffs(c), 8)
-    with pytest.raises(ValueError):
-        CaratheodoryCoeffs((float("nan"),))
+    # inf and nan coefficients, given or (for 1e200) from overflow in p, fail
+    # the criterion itself, before LAPACK sees them and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in ((float("nan"),), (float("inf"),), (1e200,), (1e200j,)):
+            with pytest.raises(ValueError, match="Caratheodory-Toeplitz"):
+                build_member(F, SchwarzCoeffs(c), 8)
+        for p in ((float("nan"),), (float("inf"),)):
+            with pytest.raises(ValueError, match="Caratheodory-Toeplitz"):
+                CaratheodoryCoeffs(p)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Command-line contract: payloads, exit codes, formats, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from ozaki import __version__
+from ozaki import __version__, cli
 from ozaki.cli import main, run
+from ozaki.functionals import FunctionalReport
+from ozaki.ledger import LEDGER
 
 
 def invoke(*argv):
@@ -270,3 +274,89 @@ def test_schwarz_and_caratheodory_sources_share_one_rule(overshoot, code, capsys
     p = ",".join(repr(2.0 * c ** k) for k in (1, 2, 3))
     assert main(["report", "--class", "F", "--schwarz", repr(c)]) == code
     assert main(["report", "--class", "F", "--caratheodory", p]) == code
+
+
+@pytest.mark.parametrize("data", [
+    ("--schwarz", "1e200"), ("--schwarz", "1e155"), ("--schwarz", "inf"),
+    ("--schwarz", "0:1e200"), ("--schwarz", "nan"),
+    ("--caratheodory", "nan"), ("--caratheodory", "inf"),
+])
+def test_non_finite_input_exits_one(data, capsys):
+    """Non-finite data, given or from overflow, fails the membership rule
+    with its own message and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["report", "--class", "F", *data]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert "Caratheodory-Toeplitz criterion" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--tol", "-1"),
+    ("verify", "--tol", "nan"),
+    ("verify", "--tol", "inf"),
+    ("sample", "--class", "G", "--samples", "100", "--tol", "0"),
+    ("sample", "--class", "G", "--samples", "100", "--tol", "nan"),
+    ("sample", "--class", "G", "--samples", "100", "--tol", "inf"),
+])
+def test_invalid_tolerance_exits_one(argv, capsys):
+    assert main(list(argv)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "tol" in out.err and out.err.count("\n") == 1
+
+
+def test_verify_zero_tolerance_accepted():
+    # every witness residual is exactly zero
+    code, env = invoke("verify", "--tol", "0")
+    assert code == 0 and env["payload"]["failures"] == 0
+
+
+# ----------------------------------------------------------------------
+# envelope shapes
+
+REPORT_FIELDS = ["a2", "a3", "a4", "A2", "A3", "A4", "gamma1", "gamma2",
+                 "Gamma1", "Gamma2", "Gamma3", "S3", "S4", "T21_log",
+                 "diff_A", "diff_Gamma"]
+
+
+def test_report_payload_key_order():
+    assert [f.name for f in dataclasses.fields(FunctionalReport)] == REPORT_FIELDS
+    _, env = invoke("report", "--class", "G", "--schwarz", "0.3:0.1,0.2")
+    assert list(env["payload"]) == ["label", "source", "input", "order",
+                                    *REPORT_FIELDS]
+    _, env = invoke("report", "--extremal", "f2")
+    assert list(env["payload"]) == ["label", "extremal", "order", *REPORT_FIELDS]
+
+
+@pytest.mark.parametrize("label, count", [("all", 13), ("F", 7), ("G", 6)])
+def test_verify_entries_follow_ledger_order(label, count):
+    _, env = invoke("verify", "--class", label)
+    entries = env["payload"]["entries"]
+    wanted = [e for e in LEDGER if label in ("all", e.label.value)]
+    assert env["payload"]["entry_count"] == len(entries) == len(wanted) == count
+    assert [(e["label"], e["functional"], e["kind"],
+             [(c["side"], c["witness"]) for c in e["checks"]])
+            for e in entries] == [
+        (e.label.value, e.functional, e.kind,
+         [(c.side, c.witness) for c in e.checks]) for e in wanted]
+
+
+def test_verify_reports_a_shifted_residual(monkeypatch):
+    real = cli.check_extremals
+
+    def shifted(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        rows[3] = dataclasses.replace(rows[3], residual=rows[3].residual + 1e-9)
+        return rows
+
+    monkeypatch.setattr(cli, "check_extremals", shifted)
+    code, env = invoke("verify", "--class", "all")
+    assert code == 2
+    assert env["status"] == "bound_violation"
+    p = env["payload"]
+    assert p["failures"] == 1
+    assert p["max_abs_residual"] == pytest.approx(1e-9, rel=1e-3)
+    assert [c["ok"] for e in p["entries"] for c in e["checks"]].count(False) == 1

@@ -172,7 +172,7 @@ def test_sample_zero_free_products_only():
 def test_sample_without_extremals():
     rep = sample_and_check(SampleConfig(G, 2000, order=8, seed=2,
                                         include_extremals=False))
-    assert not rep.include_extremals
+    assert not rep.config.include_extremals
     assert rep.ok
     by = {(c.functional, c.side): c for c in rep.checks}
     # pure-rotation draws are rotations of g1 and still attain its sharp
