@@ -19,11 +19,10 @@ from .functionals import (CoeffTriple, FunctionalReport,
                           NonRealSecondCoefficient, InverseSeriesMismatch,
                           inverse_coeffs, log_coeffs, log_inverse_coeffs,
                           schwarzian_initial, toeplitz_t21_log,
-                          rotate_to_real_a2, successive_diffs, full_report,
+                          rotate_to_real_a2, full_report,
                           FUNCTIONAL_VALUES)
 from .objectives import (ObjectiveId, DomainSpec, DomainKind, Objective,
-                         OBJECTIVES, BOX, PARABOLIC, PointOutsideDomain,
-                         eval_objective)
+                         OBJECTIVES, BOX, PARABOLIC)
 from .gridsearch import OptResult, grid_extremize
 from .ledger import (BoundCheck, BoundEntry, ExtremalCheck, LEDGER,
                      entries_for, check_extremals)

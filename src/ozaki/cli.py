@@ -167,10 +167,6 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _class_of(tag: str) -> ClassLabel:
-    return ClassLabel.F if tag == "F" else ClassLabel.G
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ozaki",
                      description="Coefficient functionals and sharp-bound "
@@ -178,8 +174,8 @@ def _build_parser() -> _Parser:
                                  "classes F and G.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def add_format(p, *tabular):   # "csv" only where the payload has rows
+        p.add_argument("--format", choices=("json",) + tabular, default="json")
 
     p = sub.add_parser("extremal", help="coefficients of an extremal function")
     p.add_argument("name", choices=EXTREMAL_NAMES)
@@ -215,7 +211,7 @@ def _build_parser() -> _Parser:
                    choices=tuple(o.value for o in ObjectiveId) + ("all",))
     p.add_argument("--resolution", type=int, default=2000)
     p.add_argument("--refine", type=int, default=3)
-    add_format(p)
+    add_format(p, "csv")
 
     p = sub.add_parser("sample", help="randomized bound-violation search")
     p.add_argument("--class", dest="label", choices=("F", "G"), required=True)
@@ -226,7 +222,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-extremals", action="store_true",
                    help="do not inject the class extremals")
     p.add_argument("--tol", type=float, default=_SAMPLE_TOL)
-    add_format(p)
+    add_format(p, "csv")
 
     return parser
 
@@ -260,7 +256,7 @@ def _member_from_args(args):
         return member, {"extremal": args.extremal}
     if args.label is None or not (args.schwarz or args.caratheodory):
         raise _UsageError("need --extremal, or --class with --schwarz/--caratheodory")
-    label = _class_of(args.label)
+    label = ClassLabel(args.label)
     if args.schwarz:
         w = SchwarzCoeffs(_parse_complex_list(args.schwarz))
         member = build_member(label, w, args.order)
@@ -273,7 +269,7 @@ def _member_from_args(args):
 
 
 def _payload_coeffs(args) -> _Payload:
-    label = _class_of(args.label)
+    label = ClassLabel(args.label)
     member, src = _member_from_args(args)
     # the provenance is the parsed (and membership-checked) input
     if args.schwarz:
@@ -305,7 +301,7 @@ def _payload_report(args) -> _Payload:
 def _payload_verify(args) -> _Payload:
     if not 0.0 <= args.tol < math.inf:   # NaN fails too
         raise _UsageError(f"--tol must be a finite tolerance >= 0, got {args.tol}")
-    labels = None if args.label == "all" else (_class_of(args.label),)
+    labels = None if args.label == "all" else (ClassLabel(args.label),)
     rows = check_extremals(labels=labels, order=args.order)
     entries = [{
         "label": label.value,
@@ -366,7 +362,7 @@ def _payload_optimize(args) -> _Payload:
 
 
 def _payload_sample(args) -> _Payload:
-    cfg = SampleConfig(label=_class_of(args.label), count=args.samples,
+    cfg = SampleConfig(label=ClassLabel(args.label), count=args.samples,
                        order=args.order, seed=args.seed,
                        blaschke_max_zeros=args.max_zeros,
                        include_extremals=not args.no_extremals,

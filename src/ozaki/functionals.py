@@ -41,7 +41,6 @@ __all__ = [
     "schwarzian_initial",
     "toeplitz_t21_log",
     "rotate_to_real_a2",
-    "successive_diffs",
     "evaluate",
     "inverse_crosscheck",
     "full_report",
@@ -142,13 +141,6 @@ def rotate_to_real_a2(f: NormalizedFunction) -> NormalizedFunction:
     return NormalizedFunction(TruncatedSeries(out))
 
 
-def successive_diffs(t: CoeffTriple) -> tuple[float, float]:
-    """(|A3 - A2|, |Gamma3 - Gamma2|)."""
-    A2, A3, _ = inverse_coeffs(t)
-    _, G2, G3 = log_inverse_coeffs(t)
-    return abs(A3 - A2), abs(G3 - G2)
-
-
 @dataclass(frozen=True)
 class FunctionalReport:
     """All implemented functionals of one function, or of a batch when the
@@ -188,14 +180,13 @@ def evaluate(t: CoeffTriple) -> FunctionalReport:
     S3, S4 = schwarzian_initial(t)
     a3_rotated = t.a3 * _real_a2_phase(t.a2) ** 2
     T21 = _t21_quartic(np.abs(t.a2), a3_rotated.real, np.abs(t.a3))
-    diff_A, diff_Gamma = successive_diffs(t)
     return FunctionalReport(
         a2=t.a2, a3=t.a3, a4=t.a4,
         A2=A2, A3=A3, A4=A4,
         gamma1=gamma1, gamma2=gamma2,
         Gamma1=G1, Gamma2=G2, Gamma3=G3,
         S3=S3, S4=S4,
-        T21_log=T21, diff_A=diff_A, diff_Gamma=diff_Gamma,
+        T21_log=T21, diff_A=abs(A3 - A2), diff_Gamma=abs(G3 - G2),
     )
 
 

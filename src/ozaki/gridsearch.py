@@ -30,6 +30,7 @@ grid's maximum while evaluating O(R) points.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,12 +43,9 @@ __all__ = ["OptResult", "grid_extremize"]
 
 @dataclass(frozen=True)
 class OptResult:
-    objective_id: ObjectiveId
     mode: str
     value: float
     argpoint: tuple[float, float]
-    grid_resolution: int
-    refine_iterations: int
     paper_value: Fraction | None
     gap: float | None
 
@@ -87,9 +85,13 @@ def _row_maxima(obj: Objective, sign: float, uu: np.ndarray,
     f0, fh, f1 = (sign * obj.fn(u, np.array([0.0, 0.5, 1.0]))).T
     c = 2.0 * (f0 - 2.0 * fh + f1)
     b = 4.0 * fh - 3.0 * f0 - f1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # after many rounds the v-window is one point, where any column will do,
+    # or so narrow that the scaled offset overflows to +-inf, which clip bounds
+    span = vv[-1] - vv[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vertex = np.where(c < 0.0, -b / (2.0 * c), vv[0])
-    j_v = np.floor((vertex - vv[0]) * last / (vv[-1] - vv[0]))
+        j_v = (np.floor((vertex - vv[0]) * last / span) if span > 0
+               else np.zeros_like(vertex))
     j_v = np.clip(j_v, 0, j_hi).astype(np.intp)
     cols = np.stack([np.zeros_like(j_v), j_v, np.minimum(j_v + 1, j_hi), j_hi], axis=1)
     # clipping to the grid only moves columns of rows with an empty run
@@ -143,9 +145,12 @@ def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
             if bvals[k] > best:
                 best = float(bvals[k])
                 best_pt = (float(su[k]), float(sv[k]))
-        # shrink by 10x around the incumbent, staying inside the bounds
-        half_u = (u_hi - u_lo) / 10.0 ** (round_idx + 1) / 2.0
-        half_v = (v_hi - v_lo) / 10.0 ** (round_idx + 1) / 2.0
+        # shrink by 10x around the incumbent, staying inside the bounds; past
+        # 10^308, the largest power of ten a float holds, the window is far
+        # below the grid's resolution and keeps its size
+        shrink = 10.0 ** min(round_idx + 1, sys.float_info.max_10_exp)
+        half_u = (u_hi - u_lo) / shrink / 2.0
+        half_v = (v_hi - v_lo) / shrink / 2.0
         win = (max(u_lo, best_pt[0] - half_u), min(u_hi, best_pt[0] + half_u),
                max(v_lo, best_pt[1] - half_v), min(v_hi, best_pt[1] + half_v))
 
@@ -155,7 +160,5 @@ def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
         gap: float | None = abs(value - float(obj.target))
     else:
         paper_value, gap = None, None
-    return OptResult(objective_id=objective_id, mode=mode, value=value,
-                     argpoint=best_pt, grid_resolution=resolution,
-                     refine_iterations=refine_iters,
+    return OptResult(mode=mode, value=value, argpoint=best_pt,
                      paper_value=paper_value, gap=gap)

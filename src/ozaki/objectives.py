@@ -26,13 +26,7 @@ __all__ = [
     "OBJECTIVES",
     "BOX",
     "PARABOLIC",
-    "PointOutsideDomain",
-    "eval_objective",
 ]
-
-
-class PointOutsideDomain(ValueError):
-    """Evaluation point lies outside the objective's region."""
 
 
 class ObjectiveId(Enum):
@@ -144,12 +138,3 @@ OBJECTIVES: dict[ObjectiveId, Objective] = {
     ObjectiveId.DELTA_G: Objective(PARABOLIC, _delta_g, "max", Fraction(6, 1)),
 }
 
-
-def eval_objective(objective_id: ObjectiveId, point: tuple[float, float]) -> float:
-    """Objective value at an in-domain point."""
-    obj = OBJECTIVES[objective_id]
-    u, v = float(point[0]), float(point[1])
-    if not obj.domain.contains(u, v):
-        raise PointOutsideDomain(
-            f"{objective_id.value}: point {point} outside {obj.domain.kind.value} region")
-    return float(obj.fn(u, v))

@@ -134,13 +134,12 @@ def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBa
     near = (~pure) & (cat < _PURE_ROTATION_SHARE + _NEAR_BOUNDARY_SHARE)
     plain = ~(pure | near)
 
-    counts = counts.copy()
+    # counts and r2 are fresh draws, read nowhere else: edit them in place
     counts[pure, 0] = 0
     if max_zeros > 0:
         counts[near, 0] = near_counts[near]
-    radius_sq = r2.copy()
-    radius_sq[near, 0, :] = _NEAR_RADIUS_SQ + (1.0 - _NEAR_RADIUS_SQ) * r2[near, 0, :]
-    zeros = np.sqrt(radius_sq) * np.exp(1j * ang)
+    r2[near, 0, :] = _NEAR_RADIUS_SQ + (1.0 - _NEAR_RADIUS_SQ) * r2[near, 0, :]
+    zeros = np.sqrt(r2) * np.exp(1j * ang)
 
     is_mix = plain & (mix_u < _MIXTURE_SHARE)
     weight = np.where(is_mix, weight, 1.0)
@@ -235,8 +234,7 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
     violations = [sum(col) for col in zip(*chunk_violations)]
 
     if cfg.include_extremals:
-        names = ("f1", "f2") if cfg.label is ClassLabel.F else ("g1", "g2")
-        for name in names:
+        for name in sorted({chk.witness for _, chk in sides}):
             report = full_report(extremal_member(name, cfg.order))
             for stat, value in FUNCTIONAL_VALUES.items():
                 v = float(value(report))

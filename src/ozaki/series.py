@@ -48,8 +48,6 @@ __all__ = [
     "log",
     "antiderivative",
     "inverse",
-    "zero",
-    "constant",
     "identity",
 ]
 
@@ -194,22 +192,16 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({self._c.tolist()!r})"
 
-    def truncated(self, order: int) -> "TruncatedSeries":
-        """Drop coefficients above ``order`` (which must not exceed self.order)."""
-        if order > self.order:
-            raise SeriesError(f"cannot truncate order {self.order} up to {order}")
-        return TruncatedSeries(self._c[: order + 1])
-
     def padded(self, order: int) -> "TruncatedSeries":
-        """Extend with exact zero coefficients up to ``order``.
+        """The series carried to ``order``: extended with exact zero
+        coefficients, or cut off when ``order`` is below self.order.
 
         Use only when the stored coefficients describe the function exactly
         (polynomial data); padding a genuine truncation fabricates zeros.
         """
-        if order < self.order:
-            return self.truncated(order)
+        n = min(order, self.order) + 1
         out = np.zeros(order + 1, dtype=np.complex128)
-        out[: self._c.size] = self._c
+        out[:n] = self._c[:n]
         return TruncatedSeries(out)
 
     # -- ring operations ---------------------------------------------------
@@ -307,16 +299,6 @@ class TruncatedSeries:
 
     def __pow__(self, alpha: float) -> "TruncatedSeries":
         return self.pow(alpha)
-
-
-def zero(order: int) -> TruncatedSeries:
-    return TruncatedSeries(np.zeros(order + 1, dtype=np.complex128))
-
-
-def constant(value: Complex, order: int) -> TruncatedSeries:
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[0] = value
-    return TruncatedSeries(c)
 
 
 def identity(order: int) -> TruncatedSeries:

@@ -153,6 +153,29 @@ def test_verify_csv_rejected():
     assert main(["verify", "--format", "csv"]) == 1
 
 
+def test_csv_rejected_before_any_work(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("work done before rejecting --format csv")
+
+    for name in ("check_extremals", "extremal_member", "build_member",
+                 "full_report"):
+        monkeypatch.setattr(cli, name, never)
+    for argv in (["verify"], ["extremal", "f1"], ["report", "--extremal", "g1"],
+                 ["coeffs", "--class", "F", "--schwarz", "0.5"]):
+        assert main(argv + ["--format", "csv"]) == 1
+        assert "--format" in capsys.readouterr().err
+    monkeypatch.undo()
+    code, env = invoke("report", "--extremal", "g1", "--format", "json")
+    assert code == 0 and env["payload"]["extremal"] == "g1"
+
+
+def test_optimize_refinement_past_float_range_exits_zero():
+    code, env = invoke("optimize", "--objective", "ChiF", "--resolution", "100",
+                       "--refine", "400")
+    assert code == 0
+    assert env["payload"]["results"][0]["value"] == pytest.approx(7 / 8, abs=1e-12)
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["optimize", "--objective", "Bogus"]) == 1
     assert main(["coeffs", "--class", "F", "--schwarz", "nope"]) == 1

@@ -6,9 +6,9 @@ import pytest
 from ozaki.classes import (BlaschkeSpec, ClassLabel, build_member,
                            extremal_member, schwarz_from_blaschke)
 from ozaki.functionals import (CoeffTriple, NonRealSecondCoefficient,
-                               full_report, inverse_coeffs, log_coeffs,
-                               log_inverse_coeffs, rotate_to_real_a2,
-                               schwarzian_initial, successive_diffs,
+                               evaluate, full_report, inverse_coeffs,
+                               log_coeffs, log_inverse_coeffs,
+                               rotate_to_real_a2, schwarzian_initial,
                                toeplitz_t21_log)
 from ozaki.series import NormalizedFunction, TruncatedSeries
 
@@ -102,11 +102,13 @@ def test_rotation_invariant_functionals():
 
 
 def test_successive_diffs():
-    assert successive_diffs(F1) == pytest.approx((4.0, 25 / 16), abs=1e-15)
-    assert successive_diffs(ZERO) == (0.0, 0.0)
-    dA, dG = successive_diffs(G1)
-    assert dA == pytest.approx(0.0, abs=1e-16)
-    assert dG == pytest.approx(1 / 48, abs=1e-16)
+    r = evaluate(F1)
+    assert (r.diff_A, r.diff_Gamma) == pytest.approx((4.0, 25 / 16), abs=1e-15)
+    r = evaluate(ZERO)
+    assert (r.diff_A, r.diff_Gamma) == (0.0, 0.0)
+    r = evaluate(G1)
+    assert r.diff_A == pytest.approx(0.0, abs=1e-16)
+    assert r.diff_Gamma == pytest.approx(1 / 48, abs=1e-16)
 
 
 def test_full_report_on_f1():
@@ -161,6 +163,25 @@ def test_report_agrees_with_series_functionals():
         np.testing.assert_allclose([r.Gamma1, r.Gamma2, r.Gamma3],
                                    inv_log.coeffs[1:4] / 2, atol=1e-10)
         assert r.Gamma1 == -r.gamma1
+
+
+@pytest.mark.parametrize("label", [ClassLabel.F, ClassLabel.G])
+def test_t21_phase_shortcut_matches_rotated_function(label):
+    """evaluate rotates a3 by the phase of a2; the paper rotates the whole
+    function and takes the quartic at real a2.  Both must agree."""
+    rng = np.random.default_rng(36 if label is ClassLabel.F else 37)
+    checked = 0
+    while checked < 1000:
+        nz = int(rng.integers(0, 4))
+        zeros = tuple((rng.uniform(0, 1) ** 0.5) * np.exp(2j * np.pi * rng.uniform())
+                      for _ in range(nz))
+        spec = BlaschkeSpec(rotation=rng.uniform(0, 2 * np.pi), zeros=zeros)
+        m = build_member(label, schwarz_from_blaschke(spec, 8), 8)
+        if m.coeff(2).imag == 0:
+            continue
+        want = toeplitz_t21_log(CoeffTriple.from_function(rotate_to_real_a2(m.f)))
+        assert full_report(m).T21_log == pytest.approx(want, abs=1e-14)
+        checked += 1
 
 
 def test_full_report_requires_order_four():

@@ -1,6 +1,7 @@
 """Grid extremization: correct extrema, boundary handling, determinism, and
 equality with the search over the full R x R grid."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,23 @@ def test_opposite_mode_has_no_reference_value():
     assert res.value == pytest.approx(0.0, abs=1e-6)  # chi(0, 1) = 0
 
 
+@pytest.mark.parametrize("oid", list(ObjectiveId))
+def test_refinement_past_window_collapse(oid):
+    """After about 16 rounds the window is one point wide in v, and past 308
+    rounds 10^rounds exceeds the float range: neither may warn or fail, and
+    the incumbent still only improves, at an in-domain point."""
+    obj = OBJECTIVES[oid]
+    sign = 1.0 if obj.mode == "max" else -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [grid_extremize(oid, resolution=200, refine_iters=k)
+                   for k in (15, 40, 400)]
+    values = [sign * r.value for r in results]
+    assert values[0] <= values[1] <= values[2]
+    for r in results:
+        assert obj.domain.contains(*r.argpoint)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         grid_extremize(ObjectiveId.CHI_F, resolution=50)
@@ -139,7 +157,7 @@ def _dense_extremize(oid, mode, resolution, refine_iters):
                max(v_lo, best_pt[1] - hv), min(v_hi, best_pt[1] + hv))
     value = sign * best
     tabulated = mode == obj.mode
-    return OptResult(oid, mode, value, best_pt, resolution, refine_iters,
+    return OptResult(mode, value, best_pt,
                      obj.target if tabulated else None,
                      abs(value - float(obj.target)) if tabulated else None)
 

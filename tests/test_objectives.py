@@ -8,8 +8,9 @@ random in-domain points.
 import numpy as np
 import pytest
 
-from ozaki.objectives import (BOX, OBJECTIVES, PARABOLIC, ObjectiveId,
-                              PointOutsideDomain, eval_objective)
+from ozaki.classes import ClassLabel
+from ozaki.ledger import LEDGER
+from ozaki.objectives import BOX, OBJECTIVES, PARABOLIC, ObjectiveId
 
 
 # independent second transcriptions
@@ -88,17 +89,17 @@ def test_formula_matches_independent_transcription(oid):
 
 
 def test_point_values():
-    assert eval_objective(ObjectiveId.UPSILON_F, (2.0, 0.5)) == pytest.approx(
+    assert OBJECTIVES[ObjectiveId.UPSILON_F].fn(2.0, 0.5) == pytest.approx(
         95 / 256, abs=1e-16)
-    assert eval_objective(ObjectiveId.CHI_F, (1.0, 0.0)) == pytest.approx(
+    assert OBJECTIVES[ObjectiveId.CHI_F].fn(1.0, 0.0) == pytest.approx(
         7 / 8, abs=1e-16)
-    assert eval_objective(ObjectiveId.DELTA_G, (0.0, 1.0)) == 0.0
-    assert eval_objective(ObjectiveId.N_G, (0.0, 1.0)) == pytest.approx(
+    assert OBJECTIVES[ObjectiveId.DELTA_G].fn(0.0, 1.0) == 0.0
+    assert OBJECTIVES[ObjectiveId.N_G].fn(0.0, 1.0) == pytest.approx(
         -1 / 144, abs=1e-18)
 
 
 def test_upsilon_independent_of_x_at_p_two():
-    vals = [eval_objective(ObjectiveId.UPSILON_F, (2.0, x))
+    vals = [OBJECTIVES[ObjectiveId.UPSILON_F].fn(2.0, x)
             for x in (0.0, 0.25, 0.5, 1.0)]
     assert all(v == pytest.approx(95 / 256, abs=1e-16) for v in vals)
 
@@ -110,13 +111,6 @@ def test_domain_membership():
     assert not PARABOLIC.contains(0.6, 1 - 0.36 + 1e-12)
     assert PARABOLIC.contains(1.0, 0.0)
     assert not PARABOLIC.contains(1.0, 0.1)
-
-
-def test_point_outside_domain_raises():
-    with pytest.raises(PointOutsideDomain):
-        eval_objective(ObjectiveId.CHI_F, (0.9, 0.5))
-    with pytest.raises(PointOutsideDomain):
-        eval_objective(ObjectiveId.UPSILON_F, (2.5, 0.5))
 
 
 def test_registry_targets():
@@ -160,3 +154,28 @@ def test_row_upper_limit_of_v():
     np.testing.assert_array_equal(PARABOLIC.v_max(u), 1.0 - u * u)
     assert np.all(PARABOLIC.contains(u, PARABOLIC.v_max(u)))
     assert not np.any(PARABOLIC.contains(u, np.nextafter(PARABOLIC.v_max(u), 2.0)))
+
+
+# the ledger side whose value each objective's tabulated extremum repeats
+LEDGER_SIDE = {
+    ObjectiveId.UPSILON_F: (ClassLabel.F, "T21_log", "upper"),
+    ObjectiveId.PSI_F: (ClassLabel.F, "T21_log", "lower"),
+    ObjectiveId.PHI_G: (ClassLabel.G, "T21_log", "upper"),
+    ObjectiveId.N_G: (ClassLabel.G, "T21_log", "lower"),
+    ObjectiveId.CHI_F: (ClassLabel.F, "Gamma3_abs", "upper"),
+    ObjectiveId.M_F: (ClassLabel.F, "diff_Gamma", "upper"),
+    ObjectiveId.S_G: (ClassLabel.G, "Gamma3_abs", "upper"),
+    ObjectiveId.DELTA_G: (ClassLabel.G, "S4_abs", "upper"),
+}
+
+
+@pytest.mark.parametrize("oid", list(ObjectiveId))
+def test_target_repeats_its_ledger_side(oid):
+    label, functional, side = LEDGER_SIDE[oid]
+    bounds = [chk.bound for e in LEDGER
+              if e.label is label and e.functional == functional
+              for chk in e.checks if chk.side == side]
+    assert len(bounds) == 1
+    obj = OBJECTIVES[oid]
+    assert obj.mode == {"upper": "max", "lower": "min"}[side]
+    assert obj.target == bounds[0]

@@ -19,7 +19,7 @@ from ozaki.series import (CompositionAtNonOrigin, DivisionByNonUnit,
                           ExpOfNonZeroConstant, LogOfNonUnitConstant,
                           NormalizedFunction, NotNormalized,
                           PowOfNonUnitConstant, SeriesError, TruncatedSeries,
-                          constant, identity, zero)
+                          identity)
 
 
 def series(*coeffs):
@@ -71,6 +71,16 @@ def binomial_pow_oracle(alpha, order, square=False):
 
 
 # ----------------------------------------------------------------------
+# padding
+
+def test_padded_extends_with_zeros_and_cuts_off():
+    s = series(1, -1, 2)
+    assert_coeffs(s.padded(4), [1, -1, 2, 0, 0], tol=0)
+    assert_coeffs(s.padded(2), [1, -1, 2], tol=0)
+    assert_coeffs(s.padded(1), [1, -1], tol=0)
+
+
+# ----------------------------------------------------------------------
 # mul / div
 
 def test_mul_one_minus_z_times_one_plus_z():
@@ -80,7 +90,7 @@ def test_mul_one_minus_z_times_one_plus_z():
 
 def test_mul_identity_and_min_order():
     s = series(2, 3, 4, 5)
-    assert_coeffs(s * constant(1.0, 3), s.coeffs, tol=0)
+    assert_coeffs(s * series(1, 0, 0, 0), s.coeffs, tol=0)
     assert (s * series(1, 0)).order == 1
 
 
@@ -99,7 +109,7 @@ def test_div_geometric():
 
 def test_div_by_one():
     s = series(3, 1, 4)
-    assert_coeffs(s / constant(1.0, 2), s.coeffs, tol=0)
+    assert_coeffs(s / series(1, 0, 0), s.coeffs, tol=0)
 
 
 def test_div_shifted_geometric():
@@ -187,7 +197,7 @@ def test_compose_matches_naive_oracle_on_random_inputs():
 # exp / log / pow
 
 def test_exp_of_zero_series():
-    assert_coeffs(zero(4).exp(), [1, 0, 0, 0, 0], tol=0)
+    assert_coeffs(series(0, 0, 0, 0, 0).exp(), [1, 0, 0, 0, 0], tol=0)
 
 
 def test_exp_reproduces_binomial_cube():
