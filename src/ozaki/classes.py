@@ -9,13 +9,14 @@ from a Schwarz function w through
 
 with p = (1 + w)/(1 - w) in the Caratheodory class.  This module constructs
 members from Schwarz or Caratheodory data by solving that differential
-equation on truncated series, provides the four classical extremal functions,
-and exposes the closed-form initial coefficients for cross-validation.
+equation on truncated series, and exposes the closed-form initial
+coefficients for cross-validation.  The four classical extremal functions are
+built the same way, from w = z (f1 in F, g1 in G) and w = z^2 (f2, g2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -73,12 +74,12 @@ class SchwarzCoeffs:
         """First k coefficients, zero-padded."""
         return tuple(self.c[i] if i < len(self.c) else 0.0 for i in range(k))
 
-    def series(self, order: int) -> TruncatedSeries:
-        """w as a series of the given order (stored data treated as exact)."""
+    def array(self, order: int) -> np.ndarray:
+        """Coefficients 0..order of w (stored data treated as exact)."""
         out = np.zeros(order + 1, dtype=np.complex128)
         m = min(len(self.c), order)
         out[1: m + 1] = self.c[:m]
-        return TruncatedSeries(out)
+        return out
 
 
 _CARATHEODORY_TOL = 1e-9
@@ -120,12 +121,13 @@ class CaratheodoryCoeffs:
     def prefix(self, k: int) -> tuple[complex, ...]:
         return tuple(self.p[i] if i < len(self.p) else 0.0 for i in range(k))
 
-    def series(self, order: int) -> TruncatedSeries:
+    def array(self, order: int) -> np.ndarray:
+        """Coefficients 0..order of p (stored data treated as exact)."""
         out = np.zeros(order + 1, dtype=np.complex128)
         out[0] = 1.0
         m = min(len(self.p), order)
         out[1: m + 1] = self.p[:m]
-        return TruncatedSeries(out)
+        return out
 
 
 _UNIT_TOL = 1e-12
@@ -251,7 +253,7 @@ def caratheodory_array(w: np.ndarray) -> np.ndarray:
 def caratheodory_from_schwarz(c: SchwarzCoeffs, order: int) -> CaratheodoryCoeffs:
     """Coefficients p1..p_order of p = (1 + w)/(1 - w) for the polynomial
     w = c1 z + ... + cN z^N; all of them are checked as given data."""
-    p = caratheodory_array(c.series(order).coeffs)
+    p = caratheodory_array(c.array(order))
     return CaratheodoryCoeffs(tuple(p[1:]))
 
 
@@ -295,7 +297,7 @@ def build_member_from_caratheodory(label: ClassLabel, p: CaratheodoryCoeffs,
     """Solve the defining differential equation from Caratheodory data."""
     if order < 4:
         raise ValueError("order must be >= 4")
-    f = TruncatedSeries(solve_member(label, p.series(order).coeffs))
+    f = TruncatedSeries(solve_member(label, p.array(order)))
     return OzakiFunction(label, NormalizedFunction(f), p)
 
 
@@ -307,43 +309,32 @@ def build_member(label: ClassLabel, w: SchwarzCoeffs, order: int) -> OzakiFuncti
     given = max(len(w.c), _CHECKED_PREFIX)
     # huge or non-finite c overflows to non-finite p, which the rule rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        p = caratheodory_array(w.series(max(order, given)).coeffs)
+        p = caratheodory_array(w.array(max(order, given)))
     _require_caratheodory_prefix(p[1: given + 1])
     f = TruncatedSeries(solve_member(label, p[: order + 1]))
     return OzakiFunction(label, NormalizedFunction(f), w)
 
 
-def _one_minus_z(order: int) -> TruncatedSeries:
-    return TruncatedSeries([1.0, -1.0]).padded(order)
-
-
-def _one_minus_z2(order: int) -> TruncatedSeries:
-    return TruncatedSeries([1.0, 0.0, -1.0]).padded(order)
-
-
-EXTREMAL_NAMES = ("f1", "f2", "g1", "g2")
+# name: (class, Schwarz function) of the four extremal members
+_EXTREMALS = {
+    "f1": (ClassLabel.F, SchwarzCoeffs((1,))),
+    "f2": (ClassLabel.F, SchwarzCoeffs((0, 1))),
+    "g1": (ClassLabel.G, SchwarzCoeffs((1,))),
+    "g2": (ClassLabel.G, SchwarzCoeffs((0, 1))),
+}
+EXTREMAL_NAMES = tuple(_EXTREMALS)
 
 
 def extremal_member(name: str, order: int) -> OzakiFunction:
-    """One of the four extremal functions, by closed form:
+    """One of the four extremal functions, the members generated by w = z
+    (f1 in F, g1 in G) and w = z^2 (f2 in F, g2 in G):
 
-    f1' = (1-z)^-3, f2' = (1-z^2)^(-3/2), g1' = 1-z, g2' = (1-z^2)^(1/2),
-    each integrated once.  f1, f2 lie in F; g1, g2 lie in G.
+    f1' = (1-z)^-3, f2' = (1-z^2)^(-3/2), g1' = 1-z, g2' = (1-z^2)^(1/2).
     """
-    if order < 4:
-        raise ValueError("order must be >= 4")
-    if name == "f1":
-        label, fprime = ClassLabel.F, _one_minus_z(order - 1).pow(-3.0)
-    elif name == "f2":
-        label, fprime = ClassLabel.F, _one_minus_z2(order - 1).pow(-1.5)
-    elif name == "g1":
-        label, fprime = ClassLabel.G, _one_minus_z(order - 1)
-    elif name == "g2":
-        label, fprime = ClassLabel.G, _one_minus_z2(order - 1).pow(0.5)
-    else:
+    if name not in _EXTREMALS:
         raise UnknownExtremalName(f"unknown extremal {name!r}")
-    f = fprime.antiderivative()
-    return OzakiFunction(label, NormalizedFunction(f), name)
+    label, w = _EXTREMALS[name]
+    return replace(build_member(label, w, order), provenance=name)
 
 
 def coeffs_from_schwarz_direct(label: ClassLabel, c: SchwarzCoeffs,

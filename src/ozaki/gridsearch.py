@@ -7,7 +7,9 @@ parabolic objectives at the (1, 0) corner.  So the search combines an
 R x R grid, whose first and last rows and columns are the straight edges of
 the region wherever they lie in the window, with explicit 1-D sampling of the
 curved edge v = 1 - u^2, then shrinks the window by a factor of 10 around the
-incumbent for a fixed number of refinement rounds.  For fixed
+incumbent for a fixed number of refinement rounds.  The rounds stop early
+once the window is narrower than one float step of the region's extent,
+after 16 rounds; no later round has changed a result.  For fixed
 (resolution, refine_iters) the result is deterministic, and the incumbent
 value is monotone in the number of rounds.
 
@@ -30,7 +32,6 @@ grid's maximum while evaluating O(R) points.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,8 @@ import numpy as np
 from .objectives import OBJECTIVES, DomainKind, DomainSpec, Objective, ObjectiveId
 
 __all__ = ["OptResult", "grid_extremize"]
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,10 @@ def _row_maxima(obj: Objective, sign: float, uu: np.ndarray,
     f0, fh, f1 = (sign * obj.fn(u, np.array([0.0, 0.5, 1.0]))).T
     c = 2.0 * (f0 - 2.0 * fh + f1)
     b = 4.0 * fh - 3.0 * f0 - f1
-    # after many rounds the v-window is one point, where any column will do,
-    # or so narrow that the scaled offset overflows to +-inf, which clip bounds
-    span = vv[-1] - vv[0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # np.where evaluates -b / (2c) on the rows with c = 0 too, then drops it
+    with np.errstate(divide="ignore", invalid="ignore"):
         vertex = np.where(c < 0.0, -b / (2.0 * c), vv[0])
-        j_v = (np.floor((vertex - vv[0]) * last / span) if span > 0
-               else np.zeros_like(vertex))
+    j_v = np.floor((vertex - vv[0]) * last / (vv[-1] - vv[0]))
     j_v = np.clip(j_v, 0, j_hi).astype(np.intp)
     cols = np.stack([np.zeros_like(j_v), j_v, np.minimum(j_v + 1, j_hi), j_hi], axis=1)
     # clipping to the grid only moves columns of rows with an empty run
@@ -145,12 +145,13 @@ def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
             if bvals[k] > best:
                 best = float(bvals[k])
                 best_pt = (float(su[k]), float(sv[k]))
-        # shrink by 10x around the incumbent, staying inside the bounds; past
-        # 10^308, the largest power of ten a float holds, the window is far
-        # below the grid's resolution and keeps its size
-        shrink = 10.0 ** min(round_idx + 1, sys.float_info.max_10_exp)
+        # shrink by 10x around the incumbent, staying inside the bounds; stop
+        # once the window is below one float step of the region's extent
+        shrink = 10.0 ** (round_idx + 1)
         half_u = (u_hi - u_lo) / shrink / 2.0
         half_v = (v_hi - v_lo) / shrink / 2.0
+        if half_u < _EPS * (u_hi - u_lo) and half_v < _EPS * (v_hi - v_lo):
+            break
         win = (max(u_lo, best_pt[0] - half_u), min(u_hi, best_pt[0] + half_u),
                max(v_lo, best_pt[1] - half_v), min(v_hi, best_pt[1] + half_v))
 

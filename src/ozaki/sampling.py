@@ -9,16 +9,17 @@ product and another 10% draw their Blaschke zeros with modulus at least 0.9.
 A chunk of members is held coefficient-major, as arrays of shape ``(5, n)``
 with one member per column, and runs through the same code as a single
 member: ``blaschke_product``, ``caratheodory_array`` and ``solve_member`` of
-:mod:`ozaki.classes` on the series kernels of :mod:`ozaki.series`, then
+:mod:`ozaki.classes` on the series kernels of :mod:`ozaki.series`.  Every
+block of members, a drawn chunk or the columns of the extremal witnesses that
+the class's bounds name, is then checked by ``_check_members`` through
 ``evaluate``, ``inverse_crosscheck`` and ``FUNCTIONAL_VALUES`` of
 :mod:`ozaki.functionals`.  Every sampled functional and the inverse
 cross-check read only a2..a4, and coefficient k of every kernel depends only
-on inputs 0..k, so chunks are expanded to order 4 and ``SampleConfig.order``
-does not change sampled results (it is the order of the injected extremal
-members, whose a2..a4 do not depend on it either).  Samples are processed in
-fixed-size chunks with per-chunk child seeds, so results do not depend on
-how many worker threads execute the chunks (set ``OZAKI_THREADS`` to use
-more than one).
+on inputs 0..k, so both kinds of block are built to order 4, and
+``SampleConfig.order`` is validated and reported but does not change sampled
+results.  Samples are processed in fixed-size chunks with per-chunk child
+seeds, so results do not depend on how many worker threads execute the
+chunks (set ``OZAKI_THREADS`` to use more than one).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .classes import (ClassLabel, blaschke_product, caratheodory_array,
                       extremal_member, solve_member)
-from .functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate, full_report,
+from .functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
                           inverse_crosscheck)
 from .ledger import BoundCheck, entries_for
 
@@ -177,16 +178,20 @@ def spec_from_batch(batch: _BlaschkeBatch, i: int):
 # ----------------------------------------------------------------------
 # chunked execution and merging
 
-def _run_chunk(label: ClassLabel, seed: np.random.SeedSequence, size: int,
-               max_zeros: int, sides: tuple[tuple[str, BoundCheck], ...],
-               tol: float) -> tuple[list[float], list[float], list[int], float]:
+def _draw_members(label: ClassLabel, seed: np.random.SeedSequence, size: int,
+                  max_zeros: int) -> np.ndarray:
+    """a0..a4 (coefficient-major, one column per member) of one chunk of
+    sampled members."""
+    batch = _draw_batch(np.random.default_rng(seed), size, max_zeros)
+    w = _schwarz_coeffs(batch, _SAMPLED_ORDER)
+    return solve_member(label, caratheodory_array(w))
+
+
+def _check_members(f: np.ndarray, sides: tuple[tuple[str, BoundCheck], ...],
+                   tol: float) -> tuple[list[float], list[float], list[int], float]:
     """Per-functional minima and maxima (in ``STAT_NAMES`` order), violation
     counts per bound side (in ``sides`` order) and the inverse cross-check of
-    one chunk of sampled members."""
-    rng = np.random.default_rng(seed)
-    batch = _draw_batch(rng, size, max_zeros)
-    p = caratheodory_array(_schwarz_coeffs(batch, _SAMPLED_ORDER))
-    f = solve_member(label, p)
+    a block of members, given coefficient-major as f[:5]."""
     report = evaluate(CoeffTriple(f[2], f[3], f[4]))
     crosscheck = inverse_crosscheck(f, report)
     values = {name: value(report) for name, value in FUNCTIONAL_VALUES.items()}
@@ -214,32 +219,36 @@ def _thread_count() -> int:
 
 def sample_and_check(cfg: SampleConfig) -> SampleReport:
     """Generate cfg.count members, evaluate every functional, and compare the
-    empirical ranges against the sharp bounds of cfg.label."""
+    empirical ranges against the sharp bounds of cfg.label.
+
+    With ``cfg.include_extremals`` the witnesses of those bounds are checked
+    as one more block, so they count toward the ranges, the violation counts
+    and the cross-check residual.  Each witness sits on its bound and inverts
+    exactly, so it adds no violation and does not raise the residual.
+    """
     sides = tuple((e.functional, chk) for e in entries_for(cfg.label)
                   for chk in e.checks)
     nchunks = -(-cfg.count // _CHUNK)
     sizes = [_CHUNK] * (nchunks - 1) + [cfg.count - _CHUNK * (nchunks - 1)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(nchunks)
 
+    tol = cfg.violation_tolerance
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         chunks = list(pool.map(
-            lambda seed, size: _run_chunk(cfg.label, seed, size,
-                                          cfg.blaschke_max_zeros, sides,
-                                          cfg.violation_tolerance),
+            lambda seed, size: _check_members(
+                _draw_members(cfg.label, seed, size, cfg.blaschke_max_zeros),
+                sides, tol),
             seeds, sizes))
+    if cfg.include_extremals:
+        witnesses = sorted({chk.witness for _, chk in sides})
+        block = np.stack([extremal_member(name, _SAMPLED_ORDER).f.series.coeffs
+                          for name in witnesses], axis=1)
+        chunks.append(_check_members(block, sides, tol))
 
     chunk_mins, chunk_maxs, chunk_violations, crosschecks = zip(*chunks)
     mins = {name: min(col) for name, col in zip(STAT_NAMES, zip(*chunk_mins))}
     maxs = {name: max(col) for name, col in zip(STAT_NAMES, zip(*chunk_maxs))}
     violations = [sum(col) for col in zip(*chunk_violations)]
-
-    if cfg.include_extremals:
-        for name in sorted({chk.witness for _, chk in sides}):
-            report = full_report(extremal_member(name, cfg.order))
-            for stat, value in FUNCTIONAL_VALUES.items():
-                v = float(value(report))
-                mins[stat] = min(mins[stat], v)
-                maxs[stat] = max(maxs[stat], v)
 
     checks = []
     for (functional, chk), bad in zip(sides, violations):

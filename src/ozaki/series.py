@@ -186,9 +186,6 @@ class TruncatedSeries:
     def __getitem__(self, k: int) -> complex:
         return complex(self._c[k])
 
-    def __len__(self) -> int:
-        return self._c.size
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({self._c.tolist()!r})"
 
@@ -205,21 +202,6 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(self._c[: n + 1] + other._c[: n + 1])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(self._c[: n + 1] - other._c[: n + 1])
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self._c)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -296,9 +278,6 @@ class TruncatedSeries:
             raise PowOfNonUnitConstant(
                 f"pow requires constant term 1, got {self._c[0]}")
         return (self.log() * alpha).exp()
-
-    def __pow__(self, alpha: float) -> "TruncatedSeries":
-        return self.pow(alpha)
 
 
 def identity(order: int) -> TruncatedSeries:

@@ -14,6 +14,7 @@ from ozaki.classes import (BlaschkeSpec, CaratheodoryCoeffs, ClassLabel,
                            coeffs_from_caratheodory_direct,
                            coeffs_from_schwarz_direct, extremal_member,
                            libera_expand, schwarz_from_blaschke)
+from test_series import binomial_pow_oracle
 
 F, G = ClassLabel.F, ClassLabel.G
 
@@ -262,12 +263,20 @@ def test_extremal_g2():
 
 
 def test_extremals_match_ode_construction():
-    pairs = {"f1": (F, (1.0,)), "f2": (F, (0.0, 1.0)),
-             "g1": (G, (1.0,)), "g2": (G, (0.0, 1.0))}
-    for name, (label, c) in pairs.items():
-        closed = extremal_member(name, 10).f.series.coeffs
-        ode = build_member(label, SchwarzCoeffs(c), 10).f.series.coeffs
-        np.testing.assert_allclose(ode, closed, atol=1e-13)
+    """The members generated by w = z and w = z^2 are the closed forms
+    f1' = (1-z)^-3, f2' = (1-z^2)^(-3/2), g1' = 1-z and g2' = (1-z^2)^(1/2),
+    expanded by the binomial series and integrated once."""
+    order = 40
+    cases = {"f1": (F, (1.0,), -3.0, False), "f2": (F, (0.0, 1.0), -1.5, True),
+             "g1": (G, (1.0,), 1.0, False), "g2": (G, (0.0, 1.0), 0.5, True)}
+    for name, (label, c, alpha, square) in cases.items():
+        ode = build_member(label, SchwarzCoeffs(c), order).f.series.coeffs
+        fprime = binomial_pow_oracle(alpha, order - 1, square)
+        closed = np.concatenate(([0.0], fprime / np.arange(1, order + 1)))
+        np.testing.assert_allclose(ode, closed, atol=1e-13, rtol=0)
+        witness = extremal_member(name, order)
+        assert witness.label is label and witness.provenance == name
+        np.testing.assert_array_equal(witness.f.series.coeffs, ode)
 
 
 def test_unknown_extremal_rejected():

@@ -93,6 +93,15 @@ def test_refinement_past_window_collapse(oid):
         assert obj.domain.contains(*r.argpoint)
 
 
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("oid", list(ObjectiveId))
+def test_refinement_stops_once_window_is_below_float_step(oid, mode):
+    """Rounds past the window's collapse below one float step are not run;
+    running them had not changed any result, so refine 400 equals refine 20."""
+    assert (grid_extremize(oid, mode=mode, refine_iters=400)
+            == grid_extremize(oid, mode=mode, refine_iters=20))
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         grid_extremize(ObjectiveId.CHI_F, resolution=50)

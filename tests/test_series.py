@@ -434,3 +434,19 @@ def test_series_kernels_live_only_in_series_module():
                  for number, line in enumerate(path.read_text().splitlines(), 1)
                  if reduction.search(line)]
     assert not offenders, f"series reductions outside series.py: {offenders}"
+
+
+def test_members_are_built_only_by_the_member_solve():
+    """The modules that build, check and report members call no
+    TruncatedSeries arithmetic, so every member, the extremal witnesses
+    included, comes from solve_member and no second construction returns."""
+    series_call = re.compile(r"(\w*)\.(?:pow|log|exp|compose)\(")
+    numeric = {"np", "numpy", "math", "cmath"}
+    package = Path(kernels.__file__).parent
+    offenders = [f"{name}.py:{number}"
+                 for name in ("classes", "functionals", "sampling", "ledger", "cli")
+                 for number, line in enumerate(
+                     (package / f"{name}.py").read_text().splitlines(), 1)
+                 if any(m.group(1) not in numeric
+                        for m in series_call.finditer(line))]
+    assert not offenders, f"series arithmetic in the engine: {offenders}"
