@@ -156,11 +156,12 @@ _NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     """Write '--schwarz -0.3:0.1' as '--schwarz=-0.3:0.1' (likewise for
-    --caratheodory): argparse reads a separate value that starts with '-' and
-    is not a plain number as an option flag."""
+    --caratheodory and for abbreviations of either): argparse reads a separate
+    value that starts with '-' and is not a plain number as an option flag."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _DATA_OPTIONS and _NEGATIVE_VALUE.match(tok):
+        if (out and _NEGATIVE_VALUE.match(tok) and len(out[-1]) > 2
+                and any(name.startswith(out[-1]) for name in _DATA_OPTIONS)):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)

@@ -109,7 +109,10 @@ def _t21_quartic(x, re_a3, abs_a3):
 
 
 def _real_a2_phase(a2):
-    """e^(i*h) with a2 e^(i*h) = |a2|; 1 where a2 = 0."""
+    """e^(i*h) with a2 e^(i*h) = |a2|; 1 where a2 = 0.  The exact scaling by
+    2^60 keeps 1/|a2|, which numpy forms to divide by |a2|, finite for a
+    subnormal a2."""
+    a2 = a2 * 2.0 ** 60
     absa2 = np.abs(a2)
     return np.where(absa2 > 0, np.conj(a2) / np.where(absa2 > 0, absa2, 1.0), 1.0)
 

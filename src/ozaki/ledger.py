@@ -34,6 +34,11 @@ class BoundCheck:
     bound: Fraction
     witness: str         # extremal name
 
+    @property
+    def sign(self) -> int:
+        """+1 on an upper side, -1 on a lower side."""
+        return 1 if self.side == "upper" else -1
+
 
 @dataclass(frozen=True)
 class BoundEntry:

@@ -5,10 +5,14 @@ expression over a compact region: the Toeplitz bounds live on the rectangle
 Omega = [0,2] x [0,1] in the variables (p, x) = (p1, |xi|), and the
 remaining bounds live on the parabolic region
 Lambda = {(u, v): 0 <= u <= 1, 0 <= v <= 1 - u^2} in (u, v) = (|c1|, |c2|).
-Formulas are transcribed verbatim; each carries the paper's tabulated
-extremum as an exact rational for gap reporting.  For UpsilonF that value,
-95/256, is below the true maximum 45/121, attained at p^2 = 464/121 on the
-x = 1 edge.
+
+The eight objectives are two formulas with different integer coefficients.
+The Toeplitz family ``_toeplitz(a, b, den)`` gives UpsilonF, PsiF, PhiG and
+NG, so that PsiF(p, x) = UpsilonF(p, -x) and NG(p, x) = PhiG(p, -x); the
+parabolic family ``_parabolic(a, b, e, den, c, d)`` gives ChiF, MF, SG and
+DeltaG.  Each objective carries the paper's tabulated extremum as an exact
+rational for gap reporting.  For UpsilonF that value, 95/256, is below the
+true maximum 45/121, attained at p^2 = 464/121 on the x = 1 edge.
 """
 
 from __future__ import annotations
@@ -72,48 +76,24 @@ BOX = DomainSpec(DomainKind.BOX)
 PARABOLIC = DomainSpec(DomainKind.PARABOLIC)
 
 
-def _upsilon_f(p, x):
-    t = 4.0 - p * p
-    return (-49.0 * p ** 4 + 576.0 * p ** 2 + 56.0 * p ** 2 * t * x
-            - 16.0 * t ** 2 * x ** 2) / 4096.0
+def _toeplitz(a, b, den):
+    """(-a p^4 + 576 p^2 + b p^2 t x - 16 t^2 x^2)/den with t = 4 - p^2."""
+    def fn(p, x):
+        t = 4 - p * p
+        return (-a * p ** 4 + 576 * p ** 2 + b * p ** 2 * t * x
+                - 16 * t ** 2 * x ** 2) / den
+    return fn
 
 
-def _psi_f(p, x):
-    t = 4.0 - p * p
-    return (-49.0 * p ** 4 + 576.0 * p ** 2 - 56.0 * p ** 2 * t * x
-            - 16.0 * t ** 2 * x ** 2) / 4096.0
-
-
-def _phi_g(p, x):
-    t = 4.0 - p * p
-    return (-9.0 * p ** 4 + 576.0 * p ** 2 + 24.0 * p ** 2 * t * x
-            - 16.0 * t ** 2 * x ** 2) / 36864.0
-
-
-def _n_g(p, x):
-    t = 4.0 - p * p
-    return (-9.0 * p ** 4 + 576.0 * p ** 2 - 24.0 * p ** 2 * t * x
-            - 16.0 * t ** 2 * x ** 2) / 36864.0
-
-
-def _chi_f(u, v):
-    return (42.0 * u ** 3 + 33.0 * u * v
-            + 6.0 * (1.0 - u * u - v * v / (1.0 + u))) / 48.0
-
-
-def _m_f(u, v):
-    return (42.0 * u ** 3 + 33.0 * u * v + 33.0 * u * u + 12.0 * v
-            + 6.0 * (1.0 - u * u - v * v / (1.0 + u))) / 48.0
-
-
-def _s_g(u, v):
-    return (10.0 * u ** 3 + 9.0 * u * v
-            + 2.0 * (1.0 - u * u - v * v / (1.0 + u))) / 48.0
-
-
-def _delta_g(u, v):
-    return (6.0 * u ** 3 + 7.0 * u * v
-            + 2.0 * (1.0 - u * u - v * v / (1.0 + u)))
+def _parabolic(a, b, e, den, c=0, d=0):
+    """(a u^3 + b u v + c u^2 + d v + e (1 - u^2 - v^2/(1+u)))/den; the
+    c u^2 + d v terms are added only where they are nonzero (MF)."""
+    def fn(u, v):
+        head = a * u ** 3 + b * u * v
+        if c or d:
+            head = head + c * u * u + d * v
+        return (head + e * (1 - u * u - v * v / (1 + u))) / den
+    return fn
 
 
 @dataclass(frozen=True)
@@ -128,13 +108,21 @@ class Objective:
 
 
 OBJECTIVES: dict[ObjectiveId, Objective] = {
-    ObjectiveId.UPSILON_F: Objective(BOX, _upsilon_f, "max", Fraction(95, 256)),
-    ObjectiveId.PSI_F: Objective(BOX, _psi_f, "min", Fraction(-1, 16)),
-    ObjectiveId.PHI_G: Objective(BOX, _phi_g, "max", Fraction(15, 256)),
-    ObjectiveId.N_G: Objective(BOX, _n_g, "min", Fraction(-1, 144)),
-    ObjectiveId.CHI_F: Objective(PARABOLIC, _chi_f, "max", Fraction(7, 8)),
-    ObjectiveId.M_F: Objective(PARABOLIC, _m_f, "max", Fraction(25, 16)),
-    ObjectiveId.S_G: Objective(PARABOLIC, _s_g, "max", Fraction(5, 24)),
-    ObjectiveId.DELTA_G: Objective(PARABOLIC, _delta_g, "max", Fraction(6, 1)),
+    ObjectiveId.UPSILON_F: Objective(BOX, _toeplitz(49, 56, 4096), "max",
+                                     Fraction(95, 256)),
+    ObjectiveId.PSI_F: Objective(BOX, _toeplitz(49, -56, 4096), "min",
+                                 Fraction(-1, 16)),
+    ObjectiveId.PHI_G: Objective(BOX, _toeplitz(9, 24, 36864), "max",
+                                 Fraction(15, 256)),
+    ObjectiveId.N_G: Objective(BOX, _toeplitz(9, -24, 36864), "min",
+                               Fraction(-1, 144)),
+    ObjectiveId.CHI_F: Objective(PARABOLIC, _parabolic(42, 33, 6, 48), "max",
+                                 Fraction(7, 8)),
+    ObjectiveId.M_F: Objective(PARABOLIC, _parabolic(42, 33, 6, 48, c=33, d=12),
+                               "max", Fraction(25, 16)),
+    ObjectiveId.S_G: Objective(PARABOLIC, _parabolic(10, 9, 2, 48), "max",
+                               Fraction(5, 24)),
+    ObjectiveId.DELTA_G: Objective(PARABOLIC, _parabolic(6, 7, 2, 1), "max",
+                                   Fraction(6, 1)),
 }
 

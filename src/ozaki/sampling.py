@@ -197,15 +197,9 @@ def _check_members(f: np.ndarray, sides: tuple[tuple[str, BoundCheck], ...],
     values = {name: value(report) for name, value in FUNCTIONAL_VALUES.items()}
     mins = [float(np.min(v)) for v in values.values()]
     maxs = [float(np.max(v)) for v in values.values()]
-    violations = []
-    for functional, chk in sides:
-        vals = values[functional]
-        bound = float(chk.bound)
-        if chk.side == "upper":
-            bad = int(np.sum(vals > bound + tol))
-        else:
-            bad = int(np.sum(vals < bound - tol))
-        violations.append(bad)
+    violations = [int(np.sum(chk.sign * values[functional]
+                             > chk.sign * float(chk.bound) + tol))
+                  for functional, chk in sides]
     return mins, maxs, violations, crosscheck
 
 
@@ -252,15 +246,13 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
 
     checks = []
     for (functional, chk), bad in zip(sides, violations):
-        if chk.side == "upper":
-            empirical = maxs[functional]
-            margin = empirical - float(chk.bound)
-        else:
-            empirical = mins[functional]
-            margin = float(chk.bound) - empirical
+        s = chk.sign
+        empirical = (maxs if s > 0 else mins)[functional]
+        # not s * (empirical - bound): on a lower side that turns 0 into -0
         checks.append(SampleCheck(functional=functional, side=chk.side,
                                   bound=chk.bound, empirical=empirical,
-                                  margin=margin, violations=bad))
+                                  margin=s * empirical - s * float(chk.bound),
+                                  violations=bad))
 
     stats = tuple((name, mins[name], maxs[name]) for name in STAT_NAMES)
     return SampleReport(config=cfg, stats=stats, checks=tuple(checks),

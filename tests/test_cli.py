@@ -181,6 +181,7 @@ def test_usage_errors_exit_one(capsys):
     assert main(["coeffs", "--class", "F", "--schwarz", "nope"]) == 1
     assert main(["coeffs", "--class", "F"]) == 1
     assert main(["extremal", "f9"]) == 1
+    assert main(["report", "--class", "F", "--c", "-0.5:0.1"]) == 1   # ambiguous
     err = capsys.readouterr().err
     assert "ozaki:" in err
 
@@ -237,13 +238,35 @@ def test_subprocess_determinism_and_thread_invariance():
     ("report", "--class", "G", "--caratheodory", "-.5:0.25,0.1"),
     ("coeffs", "--class", "F", "--schwarz", "-0.3:0.1"),
     ("coeffs", "--class", "G", "--caratheodory", "-0.5"),
+    ("report", "--class", "F", "--schw", "-0.3:0.1"),
+    ("coeffs", "--class", "F", "--ca", "-0.5:0.1"),
+    ("report", "--class", "G", "--s", "-0.3:0.1,0.2"),
 ])
 def test_negative_leading_value_space_and_equals_forms(argv):
+    """The spaced form, abbreviated or not, reads like '--<full name>=value'."""
+    name = next(n for n in ("--schwarz", "--caratheodory")
+                if n.startswith(argv[-2]))
     spaced = invoke(*argv)
-    joined = invoke(*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    joined = invoke(*argv[:-2], f"{name}={argv[-1]}")
     assert spaced[0] == joined[0] == 0
-    assert spaced[1]["payload"] == joined[1]["payload"]
-    assert spaced[1]["command_echo"] == " ".join(argv)   # echoed as typed
+    assert spaced[1].pop("command_echo") == " ".join(argv)   # echoed as typed
+    joined[1].pop("command_echo")
+    assert spaced[1] == joined[1]
+
+
+@pytest.mark.parametrize("data", [
+    ("--class", "G", "--schwarz", "1e-308"),
+    ("--class", "F", "--schwarz", "1e-320"),
+    ("--class", "F", "--caratheodory", "1e-320"),
+])
+def test_member_with_tiny_a2_is_accepted(data, capsys):
+    """|a2| below 1/DBL_MAX: the phase that makes a2 real must stay finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["report", *data]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["payload"]["T21_log"] == 0
 
 
 def test_report_rejects_class_conflicting_with_extremal(capsys):

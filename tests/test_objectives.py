@@ -156,6 +156,18 @@ def test_row_upper_limit_of_v():
     assert not np.any(PARABOLIC.contains(u, np.nextafter(PARABOLIC.v_max(u), 2.0)))
 
 
+@pytest.mark.parametrize("plus, minus", [
+    (ObjectiveId.UPSILON_F, ObjectiveId.PSI_F),
+    (ObjectiveId.PHI_G, ObjectiveId.N_G),
+])
+def test_toeplitz_pairs_differ_by_the_sign_of_x(plus, minus):
+    """PsiF(p, x) = UpsilonF(p, -x) and NG(p, x) = PhiG(p, -x), bit for bit."""
+    rng = np.random.default_rng(11)
+    p, x = rng.uniform(0.0, 2.0, 1000), rng.uniform(0.0, 1.0, 1000)
+    np.testing.assert_array_equal(OBJECTIVES[minus].fn(p, x),
+                                  OBJECTIVES[plus].fn(p, -x))
+
+
 # the ledger side whose value each objective's tabulated extremum repeats
 LEDGER_SIDE = {
     ObjectiveId.UPSILON_F: (ClassLabel.F, "T21_log", "upper"),

@@ -1,5 +1,6 @@
 """Ledger checks, randomized bound search, and batch/scalar agreement."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,11 +10,13 @@ import pytest
 from ozaki.classes import (BlaschkeSpec, ClassLabel, SchwarzCoeffs,
                            build_member, caratheodory_array,
                            schwarz_from_blaschke, solve_member)
+from ozaki.cli import run
 from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
                                full_report, inverse_crosscheck)
 from ozaki.ledger import LEDGER, check_extremals, entries_for
-from ozaki.sampling import (STAT_NAMES, SampleConfig, _draw_batch,
-                            _schwarz_coeffs, sample_and_check, spec_from_batch)
+from ozaki.sampling import (STAT_NAMES, SampleConfig, _check_members,
+                            _draw_batch, _schwarz_coeffs, sample_and_check,
+                            spec_from_batch)
 
 F, G = ClassLabel.F, ClassLabel.G
 
@@ -180,6 +183,36 @@ def test_sample_without_extremals():
     # which random draws never hit exactly
     assert abs(by[("S4_abs", "upper")].margin) <= 1e-12
     assert by[("T21_log", "lower")].margin < -1e-6
+
+
+def test_lower_side_violation_is_counted():
+    """The f2 witness sits on the class-F T21 lower bound -1/16; a column
+    with a2 = 0 and a3 = 0.6 has T21 = -0.09, below it."""
+    sides = tuple((e.functional, chk) for e in entries_for(F)
+                  for chk in e.checks)
+    lower = [i for i, (name, chk) in enumerate(sides)
+             if name == "T21_log" and chk.side == "lower"]
+    assert len(lower) == 1
+    block = np.zeros((5, 2), dtype=np.complex128)
+    block[1] = 1.0
+    block[3] = (0.5, 0.6)
+    _, _, violations, _ = _check_members(block, sides, 1e-9)
+    assert violations[lower[0]] == 1
+    _, _, violations, _ = _check_members(block[:, :1], sides, 1e-9)
+    assert violations[lower[0]] == 0
+
+
+def test_lower_side_margin_on_its_bound_prints_zero():
+    """The f2 witness attains the lower bound exactly: the margin is +0."""
+    code, text = run(["sample", "--class", "F", "--samples", "1"])
+    check = [c for c in json.loads(text)["payload"]["checks"]
+             if c["functional"] == "T21_log" and c["side"] == "lower"][0]
+    assert code == 0 and check["margin"] == 0
+    assert '"margin": 0,' in text and '"margin": -0' not in text
+    code, text = run(["sample", "--class", "F", "--samples", "1",
+                      "--format", "csv"])
+    row = [ln for ln in text.splitlines() if ln.startswith("T21_log_lower,")]
+    assert code == 0 and row[0].split(",")[-1] == "0"
 
 
 # ----------------------------------------------------------------------
