@@ -9,9 +9,9 @@ from a Schwarz function w through
 
 with p = (1 + w)/(1 - w) in the Caratheodory class.  This module constructs
 members from Schwarz or Caratheodory data by solving that differential
-equation on truncated series, and exposes the closed-form initial
-coefficients for cross-validation.  The four classical extremal functions are
-built the same way, from w = z (f1 in F, g1 in G) and w = z^2 (f2, g2).
+equation on truncated series.  Closed forms of a2..a4 serve the sampler and
+cross-check the solve.  The four classical extremal functions are built by
+the solve, from w = z (f1 in F, g1 in G) and w = z^2 (f2, g2).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .series import (NormalizedFunction, TruncatedSeries, antiderivative, div,
-                     exp, mul)
+from .series import NormalizedFunction, TruncatedSeries, antiderivative, div, exp
 
 __all__ = [
     "ClassLabel",
@@ -207,23 +206,19 @@ def blaschke_product(rotation, zeros: np.ndarray, count, length: int) -> np.ndar
 
     Coefficient-major like the series kernels: ``rotation`` and ``count``
     have the batch shape and ``zeros`` has shape (K, *batch); only the first
-    ``count`` zeros of each product are used.  Each factor is expanded in
-    closed form, (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) sum_t conj(a)^(t-1) z^t.
+    ``count`` zeros of each product are used.  Each factor is applied in
+    place, times (a - z) and then divided by (1 - conj(a) z), which expands
+    it in closed form as a + (|a|^2 - 1) sum_t conj(a)^(t-1) z^t.
     """
-    shape = (length,) + np.shape(rotation)
-    ident = np.zeros(shape, dtype=np.complex128)
-    ident[0] = 1.0
-    b = ident
+    b = np.zeros((length,) + np.shape(rotation), dtype=np.complex128)
+    b[0] = 1.0
     for j, a in enumerate(zeros):
         abar = np.conj(a)
-        coef = a * abar - 1.0          # |a|^2 - 1
-        fac = np.empty(shape, dtype=np.complex128)
-        fac[0] = a
-        powr = np.ones(shape[1:], dtype=np.complex128)
+        q = np.empty_like(b)
+        q[0] = a * b[0]
         for t in range(1, length):
-            fac[t] = coef * powr
-            powr = powr * abar
-        b = mul(b, np.where(j < count, fac, ident))
+            q[t] = a * b[t] - b[t - 1] + abar * q[t - 1]
+        b = np.where(j < count, q, b)
     return b * np.exp(1j * rotation)
 
 
@@ -337,10 +332,9 @@ def extremal_member(name: str, order: int) -> OzakiFunction:
     return replace(build_member(label, w, order), provenance=name)
 
 
-def coeffs_from_schwarz_direct(label: ClassLabel, c: SchwarzCoeffs,
-                               ) -> tuple[complex, complex, complex]:
-    """Initial coefficients (a2, a3, a4) straight from Schwarz data."""
-    c1, c2, c3 = c.prefix(3)
+def coeffs_from_schwarz_direct(label: ClassLabel, c1, c2, c3):
+    """Initial coefficients (a2, a3, a4) straight from the Schwarz
+    coefficients c1, c2, c3, given as scalars or as arrays of one shape."""
     if label is ClassLabel.F:
         a2 = 1.5 * c1
         a3 = (4.0 * c1 ** 2 + c2) / 2.0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import csv
 import json
@@ -168,6 +169,7 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+@functools.cache   # _Parser keeps no per-call state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ozaki",
                      description="Coefficient functionals and sharp-bound "
@@ -274,7 +276,7 @@ def _payload_coeffs(args) -> _Payload:
     member, src = _member_from_args(args)
     # the provenance is the parsed (and membership-checked) input
     if args.schwarz:
-        direct = coeffs_from_schwarz_direct(label, member.provenance)
+        direct = coeffs_from_schwarz_direct(label, *member.provenance.prefix(3))
     else:
         direct = coeffs_from_caratheodory_direct(label, member.provenance)
     payload = {

@@ -7,19 +7,20 @@ near-extremal territory, 10% of the samples use the zero-free pure-rotation
 product and another 10% draw their Blaschke zeros with modulus at least 0.9.
 
 A chunk of members is held coefficient-major, as arrays of shape ``(5, n)``
-with one member per column, and runs through the same code as a single
-member: ``blaschke_product``, ``caratheodory_array`` and ``solve_member`` of
-:mod:`ozaki.classes` on the series kernels of :mod:`ozaki.series`.  Every
-block of members, a drawn chunk or the columns of the extremal witnesses that
+with one member per column.  Every sampled functional and the inverse
+cross-check read only a2..a4, which are closed-form polynomials in the
+Schwarz coefficients c1..c3.  So a drawn chunk expands its Blaschke
+products to Schwarz order 3 (``blaschke_product``) and reads a2..a4 from
+``coeffs_from_schwarz_direct``; single members, the extremal witnesses
+included, still come from ``solve_member`` of :mod:`ozaki.classes`.  Every
+block of members, a drawn chunk or the order-4 columns of the witnesses that
 the class's bounds name, is then checked by ``_check_members`` through
 ``evaluate``, ``inverse_crosscheck`` and ``FUNCTIONAL_VALUES`` of
-:mod:`ozaki.functionals`.  Every sampled functional and the inverse
-cross-check read only a2..a4, and coefficient k of every kernel depends only
-on inputs 0..k, so both kinds of block are built to order 4, and
-``SampleConfig.order`` is validated and reported but does not change sampled
-results.  Samples are processed in fixed-size chunks with per-chunk child
-seeds, so results do not depend on how many worker threads execute the
-chunks (set ``OZAKI_THREADS`` to use more than one).
+:mod:`ozaki.functionals`.  ``SampleConfig.order`` is validated and reported
+but does not change sampled results.  Samples are processed in fixed-size
+chunks with per-chunk child seeds, so results do not depend on how many
+worker threads execute the chunks (set ``OZAKI_THREADS`` to use more than
+one).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classes import (ClassLabel, blaschke_product, caratheodory_array,
-                      extremal_member, solve_member)
+from .classes import (ClassLabel, blaschke_product, coeffs_from_schwarz_direct,
+                      extremal_member)
 from .functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
                           inverse_crosscheck)
 from .ledger import BoundCheck, entries_for
@@ -183,8 +184,11 @@ def _draw_members(label: ClassLabel, seed: np.random.SeedSequence, size: int,
     """a0..a4 (coefficient-major, one column per member) of one chunk of
     sampled members."""
     batch = _draw_batch(np.random.default_rng(seed), size, max_zeros)
-    w = _schwarz_coeffs(batch, _SAMPLED_ORDER)
-    return solve_member(label, caratheodory_array(w))
+    w = _schwarz_coeffs(batch, 3)   # c1..c3, all that a2..a4 read
+    f = np.zeros((_SAMPLED_ORDER + 1, size), dtype=np.complex128)
+    f[1] = 1.0
+    f[2:] = coeffs_from_schwarz_direct(label, w[1], w[2], w[3])
+    return f
 
 
 def _check_members(f: np.ndarray, sides: tuple[tuple[str, BoundCheck], ...],

@@ -8,7 +8,7 @@ import pytest
 
 from ozaki.classes import (BlaschkeSpec, CaratheodoryCoeffs, ClassLabel,
                            LiberaParams, SchwarzCoeffs, UnknownExtremalName,
-                           ZeroOutsideDisk, build_member,
+                           ZeroOutsideDisk, blaschke_product, build_member,
                            build_member_from_caratheodory,
                            caratheodory_from_schwarz,
                            coeffs_from_caratheodory_direct,
@@ -56,6 +56,23 @@ def test_product_matches_mobius_oracle():
         w = schwarz_from_blaschke(BlaschkeSpec(rotation=theta, zeros=(a,)), 8)
         want = cmath.exp(1j * theta) * mobius_factor_oracle(a, 7)
         np.testing.assert_allclose(w.c, want, atol=1e-14)
+
+
+def test_batched_product_matches_product_of_mobius_factors():
+    rng = np.random.default_rng(8)
+    n, length = 40, 9
+    zeros = (np.sqrt(rng.uniform(0, 0.98, (3, n)))
+             * np.exp(2j * np.pi * rng.uniform(size=(3, n))))
+    counts = np.arange(n) % 4
+    theta = rng.uniform(0, 2 * np.pi, n)
+    got = blaschke_product(theta, zeros, counts, length)
+    for i in range(n):
+        want = np.zeros(length, dtype=complex)
+        want[0] = 1.0
+        for a in zeros[: counts[i], i]:
+            want = np.convolve(want, mobius_factor_oracle(a, length - 1))[:length]
+        np.testing.assert_allclose(got[:, i], cmath.exp(1j * theta[i]) * want,
+                                   rtol=0, atol=1e-14)
 
 
 def test_mixture_is_convex_combination():
@@ -301,14 +318,24 @@ def test_direct_caratheodory_formulas():
 
 def test_direct_schwarz_formulas():
     np.testing.assert_allclose(
-        coeffs_from_schwarz_direct(F, SchwarzCoeffs((1, 0, 0))),
+        coeffs_from_schwarz_direct(F, *SchwarzCoeffs((1, 0, 0)).prefix(3)),
         [1.5, 2.0, 2.5], atol=0)
     np.testing.assert_allclose(
-        coeffs_from_schwarz_direct(G, SchwarzCoeffs((0, 0, 0))),
+        coeffs_from_schwarz_direct(G, *SchwarzCoeffs((0, 0, 0)).prefix(3)),
         [0, 0, 0], atol=0)
     np.testing.assert_allclose(
-        coeffs_from_schwarz_direct(G, SchwarzCoeffs((0, 1, 0))),
+        coeffs_from_schwarz_direct(G, *SchwarzCoeffs((0, 1, 0)).prefix(3)),
         [0, -1 / 6, 0], atol=0)
+
+
+def test_direct_schwarz_formulas_on_arrays_match_scalar_calls():
+    rng = np.random.default_rng(23)
+    c = rng.uniform(-0.6, 0.6, (3, 50)) + 1j * rng.uniform(-0.6, 0.6, (3, 50))
+    for label in (F, G):
+        columns = np.array(coeffs_from_schwarz_direct(label, *c))
+        for i in range(c.shape[1]):
+            scalar = coeffs_from_schwarz_direct(label, *(complex(v) for v in c[:, i]))
+            np.testing.assert_allclose(columns[:, i], scalar, rtol=0, atol=1e-15)
 
 
 def test_three_routes_agree_on_random_members():
@@ -324,7 +351,7 @@ def test_three_routes_agree_on_random_members():
             built = build_member(label, w, 8)
             triple_ode = tuple(built.f.series.coeffs[2:5])
             triple_c = coeffs_from_caratheodory_direct(label, p)
-            triple_s = coeffs_from_schwarz_direct(label, w)
+            triple_s = coeffs_from_schwarz_direct(label, *w.prefix(3))
             np.testing.assert_allclose(triple_ode, triple_c, atol=1e-12)
             np.testing.assert_allclose(triple_ode, triple_s, atol=1e-12)
             np.testing.assert_allclose(triple_c, triple_s, atol=1e-12)

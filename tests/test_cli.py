@@ -186,6 +186,23 @@ def test_usage_errors_exit_one(capsys):
     assert "ozaki:" in err
 
 
+def test_commands_in_one_process_share_no_values():
+    # the parser is built once per process; each parse starts from defaults
+    _, env = invoke("verify", "--class", "F", "--tol", "0.001")
+    assert env["payload"]["tolerance"] == 0.001
+    _, env = invoke("verify")
+    assert env["payload"]["tolerance"] == 1e-12
+    assert env["payload"]["entry_count"] == 13
+    _, env = invoke("sample", "--class", "G", "--samples", "10", "--no-extremals")
+    assert env["payload"]["include_extremals"] is False
+    _, env = invoke("sample", "--class", "G", "--samples", "10")
+    assert env["payload"]["include_extremals"] is True
+    assert main(["coeffs", "--class", "F"]) == 1
+    code, env = invoke("coeffs", "--class", "F", "--schwarz", "1")
+    assert code == 0 and env["payload"]["a4"] == 2.5
+    assert "seed" not in env   # sample's --seed does not carry over
+
+
 def test_invalid_input_exit_one(capsys):
     # Schwarz prefix violating the coefficient bounds
     assert main(["coeffs", "--class", "F", "--schwarz", "2"]) == 1

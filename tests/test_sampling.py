@@ -14,9 +14,9 @@ from ozaki.cli import run
 from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
                                full_report, inverse_crosscheck)
 from ozaki.ledger import LEDGER, check_extremals, entries_for
-from ozaki.sampling import (STAT_NAMES, SampleConfig, _check_members,
-                            _draw_batch, _schwarz_coeffs, sample_and_check,
-                            spec_from_batch)
+from ozaki.sampling import (_CHUNK, STAT_NAMES, SampleConfig, _check_members,
+                            _draw_batch, _draw_members, _schwarz_coeffs,
+                            sample_and_check, spec_from_batch)
 
 F, G = ClassLabel.F, ClassLabel.G
 
@@ -93,6 +93,17 @@ def test_batch_rows_match_scalar_path():
             assert values["Gamma3_abs"][i] == pytest.approx(abs(r.Gamma3), abs=1e-12)
             assert values["diff_A"][i] == pytest.approx(r.diff_A, abs=1e-12)
             assert values["S4_abs"][i] == pytest.approx(abs(r.S4), abs=1e-12)
+
+
+@pytest.mark.parametrize("label", [F, G])
+def test_sampled_chunks_match_the_member_solve(label):
+    """The sampler's direct formulas and the member solve of the same draw
+    check each other, with and without Blaschke zeros."""
+    for seed, max_zeros in zip(np.random.SeedSequence(2718).spawn(3), (3, 0, 3)):
+        direct = _draw_members(label, seed, _CHUNK, max_zeros)
+        batch = _draw_batch(np.random.default_rng(seed), _CHUNK, max_zeros)
+        solved = batch_member(label, _schwarz_coeffs(batch, 4))[:5]
+        np.testing.assert_allclose(direct, solved, rtol=0, atol=1e-13)
 
 
 def test_zero_schwarz_row_gives_identity_function():

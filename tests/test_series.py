@@ -438,8 +438,9 @@ def test_series_kernels_live_only_in_series_module():
 
 def test_members_are_built_only_by_the_member_solve():
     """The modules that build, check and report members call no
-    TruncatedSeries arithmetic, so every member, the extremal witnesses
-    included, comes from solve_member and no second construction returns."""
+    TruncatedSeries arithmetic, so every single member, the extremal
+    witnesses included, comes from solve_member and no second construction
+    returns.  Sampled chunks read a2..a4 from the direct Schwarz formulas."""
     series_call = re.compile(r"(\w*)\.(?:pow|log|exp|compose)\(")
     numeric = {"np", "numpy", "math", "cmath"}
     package = Path(kernels.__file__).parent
