@@ -16,8 +16,9 @@ the solve, from w = z (f1 in F, g1 in G) and w = z^2 (f2, g2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -320,16 +321,24 @@ _EXTREMALS = {
 EXTREMAL_NAMES = tuple(_EXTREMALS)
 
 
+@cache
+def _extremal_coeffs(name: str, order: int) -> tuple[complex, ...]:
+    """Coefficients 0..order of a witness, checked and solved once."""
+    label, w = _EXTREMALS[name]
+    return tuple(build_member(label, w, order).f.series.coeffs.tolist())
+
+
 def extremal_member(name: str, order: int) -> OzakiFunction:
     """One of the four extremal functions, the members generated by w = z
     (f1 in F, g1 in G) and w = z^2 (f2 in F, g2 in G):
 
     f1' = (1-z)^-3, f2' = (1-z^2)^(-3/2), g1' = 1-z, g2' = (1-z^2)^(1/2).
+    Each call returns a new member with its own coefficient array.
     """
     if name not in _EXTREMALS:
         raise UnknownExtremalName(f"unknown extremal {name!r}")
-    label, w = _EXTREMALS[name]
-    return replace(build_member(label, w, order), provenance=name)
+    f = TruncatedSeries(_extremal_coeffs(name, order))
+    return OzakiFunction(_EXTREMALS[name][0], NormalizedFunction(f), name)
 
 
 def coeffs_from_schwarz_direct(label: ClassLabel, c1, c2, c3):

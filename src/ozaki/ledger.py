@@ -3,7 +3,7 @@
 Thirteen entries, one per bounded functional and class; the two-sided
 Toeplitz bounds count once with a lower and an upper side.  Bounds are kept
 as exact rationals and only converted to floats at comparison time.
-``check_extremals`` rebuilds every witness with ``extremal_member`` and reports
+``check_extremals`` evaluates every witness from ``extremal_member`` and reports
 the signed residual (computed functional minus bound), which must vanish to
 near machine precision when the bounds are sharp.
 """

@@ -6,21 +6,24 @@ Schwarz functions by construction, so no rejection step is needed.  To probe
 near-extremal territory, 10% of the samples use the zero-free pure-rotation
 product and another 10% draw their Blaschke zeros with modulus at least 0.9.
 
-A chunk of members is held coefficient-major, as arrays of shape ``(5, n)``
-with one member per column.  Every sampled functional and the inverse
-cross-check read only a2..a4, which are closed-form polynomials in the
-Schwarz coefficients c1..c3.  So a drawn chunk expands its Blaschke
-products to Schwarz order 3 (``blaschke_product``) and reads a2..a4 from
+Members are held coefficient-major, as arrays of shape ``(5, n)`` with one
+member per column.  Every sampled functional and the inverse cross-check
+read only a2..a4, which are closed-form polynomials in the Schwarz
+coefficients c1..c3.  So drawn members expand their Blaschke products to
+Schwarz order 3 (``blaschke_product``) and read a2..a4 from
 ``coeffs_from_schwarz_direct``; single members, the extremal witnesses
-included, still come from ``solve_member`` of :mod:`ozaki.classes`.  Every
-block of members, a drawn chunk or the order-4 columns of the witnesses that
-the class's bounds name, is then checked by ``_check_members`` through
+included, still come from ``solve_member`` of :mod:`ozaki.classes`.  Only
+active zeros (the first ``count`` of a product) are expanded, and the second
+product only for mixtures.  Chunks of ``_CHUNK`` members are the units of
+seeding: each draws from its own child seed, so results do not depend on how
+many worker threads run the chunks (set ``OZAKI_THREADS`` to use more than
+one).  Tiles of ``_TILE`` members are the units of compute, small enough for
+the cache.  Every block, a tile or the order-4 columns of the witnesses that
+the class's bounds name, is checked by ``_check_members`` through
 ``evaluate``, ``inverse_crosscheck`` and ``FUNCTIONAL_VALUES`` of
-:mod:`ozaki.functionals`.  ``SampleConfig.order`` is validated and reported
-but does not change sampled results.  Samples are processed in fixed-size
-chunks with per-chunk child seeds, so results do not depend on how many
-worker threads execute the chunks (set ``OZAKI_THREADS`` to use more than
-one).
+:mod:`ozaki.functionals`; ``_merge`` combines the blocks exactly.
+``SampleConfig.order`` is validated and reported but does not change sampled
+results.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +46,8 @@ __all__ = ["SampleConfig", "SampleCheck", "SampleReport", "sample_and_check",
            "STAT_NAMES", "THREADS_ENV_VAR"]
 
 THREADS_ENV_VAR = "OZAKI_THREADS"
-_CHUNK = 16384
+_CHUNK = 16384   # members per child seed: the unit of seeding
+_TILE = 4096     # members expanded and checked at once: the unit of compute
 _SAMPLED_ORDER = 4   # a2..a4, all that the functionals read
 
 # sampler mix: pure rotations, boundary-hugging zeros, plain draws
@@ -112,13 +116,17 @@ class SampleReport:
 
 @dataclass(frozen=True)
 class _BlaschkeBatch:
-    """Vectorized draw of Blaschke mixture parameters for one chunk."""
+    """Vectorized draw of Blaschke mixture parameters, one member per row."""
 
     theta: np.ndarray        # (n, 2)
     zeros: np.ndarray        # (n, 2, K)
     counts: np.ndarray       # (n, 2) number of active zeros per product
     is_mix: np.ndarray       # (n,)
     weight: np.ndarray       # (n,) weight of the first product
+
+    def __getitem__(self, cols) -> "_BlaschkeBatch":
+        """The members ``cols`` of this batch (views, for a slice)."""
+        return _BlaschkeBatch(*(getattr(self, f.name)[cols] for f in fields(self)))
 
 
 def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBatch:
@@ -135,29 +143,35 @@ def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBa
     pure = cat < _PURE_ROTATION_SHARE
     near = (~pure) & (cat < _PURE_ROTATION_SHARE + _NEAR_BOUNDARY_SHARE)
     plain = ~(pure | near)
+    is_mix = plain & (mix_u < _MIXTURE_SHARE)
+    weight = np.where(is_mix, weight, 1.0)
 
     # counts and r2 are fresh draws, read nowhere else: edit them in place
     counts[pure, 0] = 0
     if max_zeros > 0:
         counts[near, 0] = near_counts[near]
-    r2[near, 0, :] = _NEAR_RADIUS_SQ + (1.0 - _NEAR_RADIUS_SQ) * r2[near, 0, :]
-    zeros = np.sqrt(r2) * np.exp(1j * ang)
-
-    is_mix = plain & (mix_u < _MIXTURE_SHARE)
-    weight = np.where(is_mix, weight, 1.0)
     counts[:, 1] = np.where(is_mix, counts[:, 1], 0)
+    r2[near, 0, :] = _NEAR_RADIUS_SQ + (1.0 - _NEAR_RADIUS_SQ) * r2[near, 0, :]
+    # only the first count zeros of a product are read; the others stay 0
+    active = np.arange(k) < counts[:, :, None]
+    zeros = np.zeros((n, 2, k), dtype=np.complex128)
+    zeros[active] = np.sqrt(r2[active]) * np.exp(1j * ang[active])
     return _BlaschkeBatch(theta=theta, zeros=zeros, counts=counts,
                           is_mix=is_mix, weight=weight)
 
 
 def _schwarz_coeffs(batch: _BlaschkeBatch, order: int) -> np.ndarray:
     """Schwarz coefficients (orders 0..order, one column per member) of a
-    drawn batch."""
-    b1, b2 = (blaschke_product(batch.theta[:, slot], batch.zeros[:, slot, :].T,
-                               batch.counts[:, slot], order) for slot in (0, 1))
+    drawn batch.  Only the mixtures read the second product, so only their
+    columns expand it."""
+    mix = np.flatnonzero(batch.is_mix)
+    b1, b2 = (blaschke_product(b.theta[:, slot], b.zeros[:, slot, :].T,
+                               b.counts[:, slot], order)
+              for b, slot in ((batch, 0), (batch[mix], 1)))
     lam = batch.weight
     w = np.zeros((order + 1,) + lam.shape, dtype=np.complex128)
-    w[1:] = lam * b1 + np.where(batch.is_mix, (1.0 - lam) * b2, 0.0)
+    w[1:] = lam * b1 + 0.0   # the zero second term: -0.0 becomes +0.0
+    w[1:, mix] = lam[mix] * b1[:, mix] + (1.0 - lam[mix]) * b2
     return w
 
 
@@ -179,13 +193,10 @@ def spec_from_batch(batch: _BlaschkeBatch, i: int):
 # ----------------------------------------------------------------------
 # chunked execution and merging
 
-def _draw_members(label: ClassLabel, seed: np.random.SeedSequence, size: int,
-                  max_zeros: int) -> np.ndarray:
-    """a0..a4 (coefficient-major, one column per member) of one chunk of
-    sampled members."""
-    batch = _draw_batch(np.random.default_rng(seed), size, max_zeros)
+def _members(label: ClassLabel, batch: _BlaschkeBatch) -> np.ndarray:
+    """a0..a4 (coefficient-major, one column per member) of a drawn batch."""
     w = _schwarz_coeffs(batch, 3)   # c1..c3, all that a2..a4 read
-    f = np.zeros((_SAMPLED_ORDER + 1, size), dtype=np.complex128)
+    f = np.zeros((_SAMPLED_ORDER + 1, w.shape[1]), dtype=np.complex128)
     f[1] = 1.0
     f[2:] = coeffs_from_schwarz_direct(label, w[1], w[2], w[3])
     return f
@@ -205,6 +216,21 @@ def _check_members(f: np.ndarray, sides: tuple[tuple[str, BoundCheck], ...],
                              > chk.sign * float(chk.bound) + tol))
                   for functional, chk in sides]
     return mins, maxs, violations, crosscheck
+
+
+def _check_chunk(label: ClassLabel, seed: np.random.SeedSequence, size: int,
+                 max_zeros: int, sides, tol: float) -> list[tuple]:
+    """Draw a chunk from ``seed``; one ``_check_members`` result per tile."""
+    batch = _draw_batch(np.random.default_rng(seed), size, max_zeros)
+    return [_check_members(_members(label, batch[start:start + _TILE]), sides, tol)
+            for start in range(0, size, _TILE)]
+
+
+def _merge(blocks: list[tuple]) -> tuple:
+    """``_check_members`` of a union of blocks, exactly, from the blocks'."""
+    mins, maxs, violations, crosschecks = zip(*blocks)
+    return ([min(col) for col in zip(*mins)], [max(col) for col in zip(*maxs)],
+            [sum(col) for col in zip(*violations)], max(crosschecks))
 
 
 def _thread_count() -> int:
@@ -232,21 +258,18 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
 
     tol = cfg.violation_tolerance
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        chunks = list(pool.map(
-            lambda seed, size: _check_members(
-                _draw_members(cfg.label, seed, size, cfg.blaschke_max_zeros),
-                sides, tol),
-            seeds, sizes))
+        blocks = [tile for chunk in pool.map(
+            lambda seed, size: _check_chunk(cfg.label, seed, size,
+                                            cfg.blaschke_max_zeros, sides, tol),
+            seeds, sizes) for tile in chunk]
     if cfg.include_extremals:
         witnesses = sorted({chk.witness for _, chk in sides})
         block = np.stack([extremal_member(name, _SAMPLED_ORDER).f.series.coeffs
                           for name in witnesses], axis=1)
-        chunks.append(_check_members(block, sides, tol))
+        blocks.append(_check_members(block, sides, tol))
 
-    chunk_mins, chunk_maxs, chunk_violations, crosschecks = zip(*chunks)
-    mins = {name: min(col) for name, col in zip(STAT_NAMES, zip(*chunk_mins))}
-    maxs = {name: max(col) for name, col in zip(STAT_NAMES, zip(*chunk_maxs))}
-    violations = [sum(col) for col in zip(*chunk_violations)]
+    low, high, violations, crosscheck = _merge(blocks)
+    mins, maxs = dict(zip(STAT_NAMES, low)), dict(zip(STAT_NAMES, high))
 
     checks = []
     for (functional, chk), bad in zip(sides, violations):
@@ -262,4 +285,4 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
     return SampleReport(config=cfg, stats=stats, checks=tuple(checks),
                         worst_margin=max(c.margin for c in checks),
                         total_violations=sum(violations),
-                        inverse_crosscheck_residual=max(crosschecks))
+                        inverse_crosscheck_residual=crosscheck)

@@ -296,6 +296,24 @@ def test_extremals_match_ode_construction():
         np.testing.assert_array_equal(witness.f.series.coeffs, ode)
 
 
+def test_extremal_member_is_cached_but_never_shared():
+    """A witness is solved once per (name, order), yet every call returns
+    its own member: bitwise the member solve, and unchanged by writes into an
+    earlier call's coefficients."""
+    data = {"f1": (F, (1,)), "f2": (F, (0, 1)), "g1": (G, (1,)), "g2": (G, (0, 1))}
+    for order in (4, 8, 25):
+        for name, (label, c) in data.items():
+            solved = build_member(label, SchwarzCoeffs(c), order).f.series.coeffs
+            first = extremal_member(name, order)
+            assert first.label is label and first.provenance == name
+            assert first.f.series.coeffs.tobytes() == solved.tobytes()
+            scribbled = first.f.series.coeffs
+            scribbled.setflags(write=True)
+            scribbled[:] = 7.0
+            again = extremal_member(name, order)
+            assert again.f.series.coeffs.tobytes() == solved.tobytes()
+
+
 def test_unknown_extremal_rejected():
     with pytest.raises(UnknownExtremalName):
         extremal_member("f3", 8)

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from ozaki.classes import (BlaschkeSpec, ClassLabel, SchwarzCoeffs,
-                           build_member, caratheodory_array,
+                           blaschke_product, build_member, caratheodory_array,
                            schwarz_from_blaschke, solve_member)
 from ozaki.cli import run
 from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
                                full_report, inverse_crosscheck)
 from ozaki.ledger import LEDGER, check_extremals, entries_for
-from ozaki.sampling import (_CHUNK, STAT_NAMES, SampleConfig, _check_members,
-                            _draw_batch, _draw_members, _schwarz_coeffs,
-                            sample_and_check, spec_from_batch)
+from ozaki.sampling import (_CHUNK, _TILE, STAT_NAMES, SampleConfig,
+                            _check_chunk, _check_members, _draw_batch, _members,
+                            _merge, _schwarz_coeffs, sample_and_check,
+                            spec_from_batch)
 
 F, G = ClassLabel.F, ClassLabel.G
 
@@ -100,10 +101,99 @@ def test_sampled_chunks_match_the_member_solve(label):
     """The sampler's direct formulas and the member solve of the same draw
     check each other, with and without Blaschke zeros."""
     for seed, max_zeros in zip(np.random.SeedSequence(2718).spawn(3), (3, 0, 3)):
-        direct = _draw_members(label, seed, _CHUNK, max_zeros)
         batch = _draw_batch(np.random.default_rng(seed), _CHUNK, max_zeros)
+        direct = _members(label, batch)
         solved = batch_member(label, _schwarz_coeffs(batch, 4))[:5]
         np.testing.assert_allclose(direct, solved, rtol=0, atol=1e-13)
+
+
+def dense_draw(rng, n, max_zeros):
+    """The draw with every Blaschke zero expanded, read or not: the same
+    generator calls in the same order as ``_draw_batch``."""
+    k = max(max_zeros, 1)
+    cat = rng.uniform(size=n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2))
+    counts = rng.integers(0, max_zeros + 1, size=(n, 2))
+    near_counts = rng.integers(1, k + 1, size=n)
+    r2 = rng.uniform(size=(n, 2, k))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2, k))
+    mix_u = rng.uniform(size=n)
+    weight = rng.uniform(size=n)
+    pure = cat < 0.10
+    near = (~pure) & (cat < 0.20)
+    counts[pure, 0] = 0
+    if max_zeros > 0:
+        counts[near, 0] = near_counts[near]
+    r2[near, 0, :] = 0.81 + (1.0 - 0.81) * r2[near, 0, :]
+    zeros = np.sqrt(r2) * np.exp(1j * ang)
+    is_mix = ~(pure | near) & (mix_u < 0.25)
+    weight = np.where(is_mix, weight, 1.0)
+    counts[:, 1] = np.where(is_mix, counts[:, 1], 0)
+    return theta, zeros, counts, is_mix, weight
+
+
+@pytest.mark.parametrize("max_zeros", [0, 1, 3])
+def test_draw_expands_only_the_zeros_it_reads(max_zeros):
+    """Every value read from a draw is bitwise the dense draw's; the zeros
+    past a product's count are never read and stay 0."""
+    for seed in np.random.SeedSequence(1901).spawn(2):
+        batch = _draw_batch(np.random.default_rng(seed), 5000, max_zeros)
+        theta, zeros, counts, is_mix, weight = dense_draw(
+            np.random.default_rng(seed), 5000, max_zeros)
+        for got, want in ((batch.theta, theta), (batch.counts, counts),
+                          (batch.is_mix, is_mix), (batch.weight, weight)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        active = np.arange(zeros.shape[2]) < counts[:, :, None]
+        assert batch.zeros[active].tobytes() == zeros[active].tobytes()
+        inactive = batch.zeros[~active]
+        assert inactive.tobytes() == np.zeros_like(inactive).tobytes()
+
+
+def all_columns_schwarz(batch, order):
+    """Both products expanded for every member, the second one kept only
+    for mixtures."""
+    b1, b2 = (blaschke_product(batch.theta[:, slot], batch.zeros[:, slot, :].T,
+                               batch.counts[:, slot], order) for slot in (0, 1))
+    lam = batch.weight
+    w = np.zeros((order + 1,) + lam.shape, dtype=np.complex128)
+    w[1:] = lam * b1 + np.where(batch.is_mix, (1.0 - lam) * b2, 0.0)
+    return w
+
+
+def test_second_product_is_expanded_only_for_mixtures():
+    for seed, max_zeros in zip(np.random.SeedSequence(1902).spawn(3), (3, 0, 1)):
+        batch = _draw_batch(np.random.default_rng(seed), 5000, max_zeros)
+        unmixed = batch[np.flatnonzero(~batch.is_mix)]
+        for sub, order in ((batch, 3), (batch, 8), (unmixed, 3)):
+            got = _schwarz_coeffs(sub, order)
+            assert got.tobytes() == all_columns_schwarz(sub, order).tobytes()
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("label", [F, G])
+def test_tiles_change_nothing(label):
+    """A chunk checked tile by tile merges to bitwise the check of the whole
+    chunk at once, whether or not its size is a multiple of the tile.  At an
+    infinitely negative tolerance every member counts as a violation of every
+    side, so the tiles hold each member of the chunk once."""
+    sides = tuple((e.functional, chk) for e in entries_for(label)
+                  for chk in e.checks)
+    seeds = np.random.SeedSequence(1903).spawn(4)
+    for seed, size in zip(seeds, (_CHUNK, 1696, 1, 5000)):
+        batch = _draw_batch(np.random.default_rng(seed), size, 3)
+        for tol in (1e-9, -math.inf):
+            tiles = _check_chunk(label, seed, size, 3, sides, tol)
+            assert len(tiles) == -(-size // _TILE)
+            mins, maxs, violations, crosscheck = _merge(tiles)
+            whole = _check_members(_members(label, batch), sides, tol)
+            assert float_bits(mins) == float_bits(whole[0])
+            assert float_bits(maxs) == float_bits(whole[1])
+            assert violations == whole[2]
+            assert float_bits([crosscheck]) == float_bits([whole[3]])
+        assert violations == [size] * len(sides)
 
 
 def test_zero_schwarz_row_gives_identity_function():
