@@ -16,11 +16,8 @@ from .classes import (ClassLabel, SchwarzCoeffs, CaratheodoryCoeffs,
                       coeffs_from_caratheodory_direct,
                       coeffs_from_schwarz_direct, EXTREMAL_NAMES)
 from .functionals import (CoeffTriple, FunctionalReport,
-                          NonRealSecondCoefficient, InverseSeriesMismatch,
-                          inverse_coeffs, log_coeffs, log_inverse_coeffs,
-                          schwarzian_initial, toeplitz_t21_log,
-                          rotate_to_real_a2, full_report,
-                          FUNCTIONAL_VALUES)
+                          InverseSeriesMismatch, inverse_coeffs, log_coeffs,
+                          schwarzian_initial, full_report, FUNCTIONAL_VALUES)
 from .objectives import (ObjectiveId, DomainSpec, DomainKind, Objective,
                          OBJECTIVES, BOX, PARABOLIC)
 from .gridsearch import OptResult, grid_extremize

@@ -345,13 +345,13 @@ def coeffs_from_schwarz_direct(label: ClassLabel, c1, c2, c3):
     """Initial coefficients (a2, a3, a4) straight from the Schwarz
     coefficients c1, c2, c3, given as scalars or as arrays of one shape."""
     if label is ClassLabel.F:
-        a2 = 1.5 * c1
-        a3 = (4.0 * c1 ** 2 + c2) / 2.0
-        a4 = (20.0 * c1 ** 3 + 13.0 * c1 * c2 + 2.0 * c3) / 8.0
+        a2 = 3 * c1 / 2
+        a3 = (4 * c1 ** 2 + c2) / 2
+        a4 = (20 * c1 ** 3 + 13 * c1 * c2 + 2 * c3) / 8
     else:
-        a2 = -c1 / 2.0
-        a3 = -c2 / 6.0
-        a4 = -(c1 * c2 + 2.0 * c3) / 24.0
+        a2 = -c1 / 2
+        a3 = -c2 / 6
+        a4 = -(c1 * c2 + 2 * c3) / 24
     return a2, a3, a4
 
 
@@ -360,11 +360,11 @@ def coeffs_from_caratheodory_direct(label: ClassLabel, p: CaratheodoryCoeffs,
     """Initial coefficients (a2, a3, a4) straight from Caratheodory data."""
     p1, p2, p3 = p.prefix(3)
     if label is ClassLabel.F:
-        a2 = 0.75 * p1
-        a3 = (3.0 * p1 ** 2 + 2.0 * p2) / 8.0
-        a4 = (9.0 * p1 ** 3 + 18.0 * p1 * p2 + 8.0 * p3) / 64.0
+        a2 = 3 * p1 / 4
+        a3 = (3 * p1 ** 2 + 2 * p2) / 8
+        a4 = (9 * p1 ** 3 + 18 * p1 * p2 + 8 * p3) / 64
     else:
-        a2 = -p1 / 4.0
-        a3 = (p1 ** 2 - 2.0 * p2) / 24.0
-        a4 = (-p1 ** 3 + 6.0 * p1 * p2 - 8.0 * p3) / 192.0
+        a2 = -p1 / 4
+        a3 = (p1 ** 2 - 2 * p2) / 24
+        a4 = (-p1 ** 3 + 6 * p1 * p2 - 8 * p3) / 192
     return a2, a3, a4

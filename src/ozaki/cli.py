@@ -251,16 +251,16 @@ def _payload_extremal(args) -> _Payload:
 
 
 def _member_from_args(args):
-    if getattr(args, "extremal", None):
+    if getattr(args, "extremal", None) is not None:
         member = extremal_member(args.extremal, args.order)
         if args.label is not None and args.label != member.label.value:
             raise _UsageError(f"--class {args.label} conflicts with --extremal "
                               f"{args.extremal}, a class-{member.label.value} member")
         return member, {"extremal": args.extremal}
-    if args.label is None or not (args.schwarz or args.caratheodory):
+    if args.label is None or (args.schwarz is None and args.caratheodory is None):
         raise _UsageError("need --extremal, or --class with --schwarz/--caratheodory")
     label = ClassLabel(args.label)
-    if args.schwarz:
+    if args.schwarz is not None:
         w = SchwarzCoeffs(_parse_complex_list(args.schwarz))
         member = build_member(label, w, args.order)
         src = {"source": "schwarz", "input": [_num(c) for c in w.c]}
@@ -275,7 +275,7 @@ def _payload_coeffs(args) -> _Payload:
     label = ClassLabel(args.label)
     member, src = _member_from_args(args)
     # the provenance is the parsed (and membership-checked) input
-    if args.schwarz:
+    if args.schwarz is not None:
         direct = coeffs_from_schwarz_direct(label, *member.provenance.prefix(3))
     else:
         direct = coeffs_from_caratheodory_direct(label, member.provenance)

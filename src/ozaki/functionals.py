@@ -1,20 +1,27 @@
 """Coefficient functionals of normalized univalent functions.
 
-Everything here is a closed-form expression in the initial coefficients
-(a2, a3, a4):
+Everything here is a closed-form expression with integer coefficients in
+the initial coefficients (a2, a3, a4):
 
 * inverse coefficients A2, A3, A4 of the compositional inverse F(w),
 * logarithmic coefficients gamma_n, half the coefficients of log(f/z),
-* logarithmic inverse coefficients Gamma_n, the same for F,
+* logarithmic inverse coefficients Gamma_n, the gamma_n of F, that is
+  ``log_coeffs(inverse_coeffs(t))``,
 * initial Schwarzian derivative values S3 = 6(a3 - a2^2) and
   S4 = 24(a4 - 3 a2 a3 + 2 a2^3),
 * the second-order Hermitian-Toeplitz determinant of logarithmic
-  coefficients, gamma1^2 - |gamma2|^2, taken after rotating a2 real,
+  coefficients, |gamma1|^2 - |gamma2|^2,
 * the successive differences |A3 - A2| and |Gamma3 - Gamma2|.
 
-Every formula works elementwise, on Python scalars and on numpy arrays
-alike.  ``evaluate`` maps a :class:`CoeffTriple` of scalars (one function)
-or of arrays (a sampled batch) to a :class:`FunctionalReport`;
+The paper writes the determinant as gamma1^2 - |gamma2|^2 after rotating
+f(z) -> e^(-ih) f(e^(ih) z) so that a2 is real and >= 0.  That rotation
+multiplies gamma_n by e^(inh), so every |gamma_n| is unchanged and no
+function is rotated here.
+
+Every formula works elementwise, on Python scalars, on numpy arrays and on
+real ``Fraction``s alike; on ``Fraction``s every result is exact.
+``evaluate`` maps a :class:`CoeffTriple` of scalars (one function) or of
+arrays (a sampled batch) to a :class:`FunctionalReport`;
 ``FUNCTIONAL_VALUES`` reads each named real value off such a report, and
 ``inverse_crosscheck`` compares the closed-form inverse coefficients with a
 series inversion.  ``full_report`` is all three on one function.
@@ -28,19 +35,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .classes import OzakiFunction
-from .series import NormalizedFunction, TruncatedSeries, inverse
+from .series import NormalizedFunction, inverse
 
 __all__ = [
     "CoeffTriple",
     "FunctionalReport",
-    "NonRealSecondCoefficient",
     "InverseSeriesMismatch",
     "inverse_coeffs",
     "log_coeffs",
-    "log_inverse_coeffs",
     "schwarzian_initial",
-    "toeplitz_t21_log",
-    "rotate_to_real_a2",
     "evaluate",
     "inverse_crosscheck",
     "full_report",
@@ -49,11 +52,6 @@ __all__ = [
 ]
 
 INVERSE_CROSSCHECK_TOL = 1e-10
-_REAL_A2_TOL = 1e-12
-
-
-class NonRealSecondCoefficient(ValueError):
-    """Toeplitz determinant needs a real second coefficient; rotate first."""
 
 
 class InverseSeriesMismatch(ArithmeticError):
@@ -76,72 +74,22 @@ def inverse_coeffs(t: CoeffTriple) -> tuple[complex, complex, complex]:
     """(A2, A3, A4) of the compositional inverse:
     A2 = -a2, A3 = 2 a2^2 - a3, A4 = -a4 + 5 a2 a3 - 5 a2^3."""
     a2, a3, a4 = t
-    return -a2, 2.0 * a2 ** 2 - a3, -a4 + 5.0 * a2 * a3 - 5.0 * a2 ** 3
+    return -a2, 2 * a2 ** 2 - a3, -a4 + 5 * a2 * a3 - 5 * a2 ** 3
 
 
-def log_coeffs(t: CoeffTriple) -> tuple[complex, complex]:
-    """(gamma1, gamma2) with gamma1 = a2/2, gamma2 = (a3 - a2^2/2)/2."""
-    a2, a3, _ = t
-    return a2 / 2.0, (a3 - a2 ** 2 / 2.0) / 2.0
+def log_coeffs(t: CoeffTriple) -> tuple[complex, complex, complex]:
+    """(gamma1, gamma2, gamma3), half the coefficients of log(f(z)/z):
+    gamma1 = a2/2, gamma2 = (a3 - a2^2/2)/2, gamma3 = (a4 - a2 a3 + a2^3/3)/2.
 
-
-def log_inverse_coeffs(t: CoeffTriple) -> tuple[complex, complex, complex]:
-    """(Gamma1, Gamma2, Gamma3) of the inverse function:
-    Gamma1 = -a2/2, Gamma2 = -(a3 - (3/2) a2^2)/2,
-    Gamma3 = -(a4 - 4 a2 a3 + (10/3) a2^3)/2."""
+    Applied to ``inverse_coeffs(t)`` it gives Gamma1, Gamma2, Gamma3."""
     a2, a3, a4 = t
-    g1 = -a2 / 2.0
-    g2 = -(a3 - 1.5 * a2 ** 2) / 2.0
-    g3 = -(a4 - 4.0 * a2 * a3 + (10.0 / 3.0) * a2 ** 3) / 2.0
-    return g1, g2, g3
+    return a2 / 2, (a3 - a2 ** 2 / 2) / 2, (a4 - a2 * a3 + a2 ** 3 / 3) / 2
 
 
 def schwarzian_initial(t: CoeffTriple) -> tuple[complex, complex]:
     """(S3, S4), the initial values of the Schwarzian derivative hierarchy."""
     a2, a3, a4 = t
-    return 6.0 * (a3 - a2 ** 2), 24.0 * (a4 - 3.0 * a2 * a3 + 2.0 * a2 ** 3)
-
-
-def _t21_quartic(x, re_a3, abs_a3):
-    """(-x^4 + 4 x^2 + 4 x^2 Re a3 - 4 |a3|^2)/16 for a real a2 = x."""
-    return (-x ** 4 + 4.0 * x ** 2 + 4.0 * x ** 2 * re_a3
-            - 4.0 * abs_a3 ** 2) / 16.0
-
-
-def _real_a2_phase(a2):
-    """e^(i*h) with a2 e^(i*h) = |a2|; 1 where a2 = 0.  The exact scaling by
-    2^60 keeps 1/|a2|, which numpy forms to divide by |a2|, finite for a
-    subnormal a2."""
-    a2 = a2 * 2.0 ** 60
-    absa2 = np.abs(a2)
-    return np.where(absa2 > 0, np.conj(a2) / np.where(absa2 > 0, absa2, 1.0), 1.0)
-
-
-def toeplitz_t21_log(t: CoeffTriple) -> float:
-    """gamma1^2 - |gamma2|^2 as the quartic
-    (-a2^4 + 4 a2^2 + 4 a2^2 Re a3 - 4 |a3|^2)/16, valid for real a2."""
-    a2, a3, _ = t
-    if abs(a2.imag) > _REAL_A2_TOL:
-        raise NonRealSecondCoefficient(
-            f"a2 = {a2} is not real; apply rotate_to_real_a2 first")
-    return _t21_quartic(a2.real, a3.real, abs(a3))
-
-
-def rotate_to_real_a2(f: NormalizedFunction) -> NormalizedFunction:
-    """Rotation f(z) -> e^(-i*h) f(e^(i*h) z) making a2 real and >= 0.
-
-    Every |a_n| is preserved; a_n picks up the phase factor e^(i*h*(n-1)).
-    """
-    c = f.series.coeffs
-    a2 = c[2] if f.order >= 2 else 0.0
-    if a2 == 0 or (a2.imag == 0 and a2.real > 0):
-        return f
-    phase = _real_a2_phase(a2)
-    factors = phase ** np.arange(-1, f.order, dtype=np.float64)
-    out = c * factors
-    out[0] = 0.0
-    out[1] = 1.0  # phase^0 is exactly 1; pin anyway
-    return NormalizedFunction(TruncatedSeries(out))
+    return 6 * (a3 - a2 ** 2), 24 * (a4 - 3 * a2 * a3 + 2 * a2 ** 3)
 
 
 @dataclass(frozen=True)
@@ -172,24 +120,26 @@ class FunctionalReport:
 
 
 def evaluate(t: CoeffTriple) -> FunctionalReport:
-    """Every functional of (a2, a3, a4), elementwise on scalars or arrays.
+    """Every functional of (a2, a3, a4), elementwise on scalars, arrays or
+    ``Fraction``s.
 
-    The Toeplitz determinant is the quartic taken after rotating a2 real,
-    which leaves |a3| unchanged and turns a3 into a3 e^(2ih).
+    Gamma1..Gamma3 are the logarithmic coefficients of the inverse, read
+    from A2..A4.  The Toeplitz determinant is |gamma1|^2 - |gamma2|^2, which
+    equals the paper's gamma1^2 - |gamma2|^2 at a2 rotated real, since the
+    rotation leaves every |gamma_n| unchanged.
     """
     A2, A3, A4 = inverse_coeffs(t)
-    gamma1, gamma2 = log_coeffs(t)
-    G1, G2, G3 = log_inverse_coeffs(t)
+    gamma1, gamma2, _ = log_coeffs(t)
+    G1, G2, G3 = log_coeffs(CoeffTriple(A2, A3, A4))
     S3, S4 = schwarzian_initial(t)
-    a3_rotated = t.a3 * _real_a2_phase(t.a2) ** 2
-    T21 = _t21_quartic(np.abs(t.a2), a3_rotated.real, np.abs(t.a3))
     return FunctionalReport(
         a2=t.a2, a3=t.a3, a4=t.a4,
         A2=A2, A3=A3, A4=A4,
         gamma1=gamma1, gamma2=gamma2,
         Gamma1=G1, Gamma2=G2, Gamma3=G3,
         S3=S3, S4=S4,
-        T21_log=T21, diff_A=abs(A3 - A2), diff_Gamma=abs(G3 - G2),
+        T21_log=abs(gamma1) ** 2 - abs(gamma2) ** 2,
+        diff_A=abs(A3 - A2), diff_Gamma=abs(G3 - G2),
     )
 
 

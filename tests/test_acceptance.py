@@ -27,12 +27,13 @@ from ozaki.classes import ClassLabel, coeffs_from_caratheodory_direct, \
     libera_expand, LiberaParams, build_member, SchwarzCoeffs, \
     caratheodory_array, solve_member
 from ozaki.cli import run
-from ozaki.functionals import CoeffTriple, full_report, toeplitz_t21_log
+from ozaki.functionals import CoeffTriple, full_report
 from ozaki.gridsearch import grid_extremize
 from ozaki.objectives import OBJECTIVES, ObjectiveId
 from ozaki.sampling import SampleConfig, _draw_batch, _schwarz_coeffs, \
     sample_and_check
 from ozaki.series import NormalizedFunction, TruncatedSeries, div, identity
+from rotation_oracle import toeplitz_t21_log
 
 F, G = ClassLabel.F, ClassLabel.G
 

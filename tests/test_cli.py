@@ -184,6 +184,12 @@ def test_usage_errors_exit_one(capsys):
     assert main(["report", "--class", "F", "--c", "-0.5:0.1"]) == 1   # ambiguous
     err = capsys.readouterr().err
     assert "ozaki:" in err
+    # an empty data option is data that does not parse, not a missing option
+    for argv in (["coeffs", "--class", "F", "--schwarz="],
+                 ["report", "--class", "F", "--caratheodory", ""]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "ozaki: cannot parse complex entry ''; expected re or re:im\n"
 
 
 def test_commands_in_one_process_share_no_values():

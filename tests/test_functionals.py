@@ -1,16 +1,20 @@
 """Coefficient functional formulas, rotation handling, and full reports."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ozaki.classes import (BlaschkeSpec, ClassLabel, build_member,
-                           extremal_member, schwarz_from_blaschke)
-from ozaki.functionals import (CoeffTriple, NonRealSecondCoefficient,
-                               evaluate, full_report, inverse_coeffs,
-                               log_coeffs, log_inverse_coeffs,
-                               rotate_to_real_a2, schwarzian_initial,
-                               toeplitz_t21_log)
+                           coeffs_from_schwarz_direct, extremal_member,
+                           schwarz_from_blaschke)
+from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
+                               full_report, inverse_coeffs, log_coeffs,
+                               schwarzian_initial)
+from ozaki.ledger import LEDGER
 from ozaki.series import NormalizedFunction, TruncatedSeries
+from rotation_oracle import (NonRealSecondCoefficient, rotate_to_real_a2,
+                             toeplitz_t21_log)
 
 F1 = CoeffTriple(1.5, 2.0, 2.5)
 F2 = CoeffTriple(0.0, 0.5, 0.0)
@@ -26,16 +30,18 @@ def test_inverse_coeffs():
 
 
 def test_log_coeffs():
-    np.testing.assert_allclose(log_coeffs(F1), [0.75, 7 / 16], atol=0)
-    np.testing.assert_allclose(log_coeffs(ZERO), [0, 0], atol=0)
-    np.testing.assert_allclose(log_coeffs(F2), [0, 0.25], atol=0)
+    np.testing.assert_allclose(log_coeffs(F1), [0.75, 7 / 16, 5 / 16], atol=0)
+    np.testing.assert_allclose(log_coeffs(ZERO), [0, 0, 0], atol=0)
+    np.testing.assert_allclose(log_coeffs(F2), [0, 0.25, 0], atol=0)
 
 
 def test_log_inverse_coeffs():
-    np.testing.assert_allclose(log_inverse_coeffs(F1),
+    # Gamma_n are the gamma_n of the inverse function
+    np.testing.assert_allclose(log_coeffs(inverse_coeffs(F1)),
                                [-0.75, 11 / 16, -7 / 8], atol=1e-16)
-    np.testing.assert_allclose(log_inverse_coeffs(ZERO), [0, 0, 0], atol=0)
-    np.testing.assert_allclose(log_inverse_coeffs(G1),
+    np.testing.assert_allclose(log_coeffs(inverse_coeffs(ZERO)), [0, 0, 0],
+                               atol=0)
+    np.testing.assert_allclose(log_coeffs(inverse_coeffs(G1)),
                                [0.25, 3 / 16, 5 / 24], atol=1e-16)
 
 
@@ -86,7 +92,8 @@ def test_rotation_preserves_moduli():
 
 def test_rotation_invariant_functionals():
     # Gamma2, Gamma3, S3, S4 have constant weight in (a2, a3, a4), so their
-    # moduli are rotation invariant; checked numerically
+    # moduli are rotation invariant, and so is T21 = |gamma1|^2 - |gamma2|^2;
+    # checked numerically
     rng = np.random.default_rng(34)
     for _ in range(50):
         c = np.zeros(5, dtype=complex)
@@ -95,10 +102,12 @@ def test_rotation_invariant_functionals():
         f = NormalizedFunction(TruncatedSeries(c))
         t0 = CoeffTriple.from_function(f)
         t1 = CoeffTriple.from_function(rotate_to_real_a2(f))
-        for fn in (log_inverse_coeffs, schwarzian_initial):
+        for fn in (lambda t: log_coeffs(inverse_coeffs(t)), schwarzian_initial):
             before = np.abs(fn(t0))
             after = np.abs(fn(t1))
             np.testing.assert_allclose(after, before, atol=1e-12)
+        assert evaluate(t1).T21_log == pytest.approx(evaluate(t0).T21_log,
+                                                     abs=1e-12)
 
 
 def test_successive_diffs():
@@ -159,6 +168,8 @@ def test_report_agrees_with_series_functionals():
         lr = m.f.log_ratio()
         np.testing.assert_allclose([r.gamma1, r.gamma2], lr.coeffs[1:3] / 2,
                                    atol=1e-12)
+        gamma3 = log_coeffs(CoeffTriple.from_function(m.f))[2]
+        assert gamma3 == pytest.approx(lr.coeffs[3] / 2, abs=1e-12)
         inv_log = NormalizedFunction(inv).log_ratio()
         np.testing.assert_allclose([r.Gamma1, r.Gamma2, r.Gamma3],
                                    inv_log.coeffs[1:4] / 2, atol=1e-10)
@@ -167,8 +178,9 @@ def test_report_agrees_with_series_functionals():
 
 @pytest.mark.parametrize("label", [ClassLabel.F, ClassLabel.G])
 def test_t21_phase_shortcut_matches_rotated_function(label):
-    """evaluate rotates a3 by the phase of a2; the paper rotates the whole
-    function and takes the quartic at real a2.  Both must agree."""
+    """evaluate takes |gamma1|^2 - |gamma2|^2 without rotating; the paper
+    rotates the whole function to a real a2 and takes the quartic there.
+    Both must agree."""
     rng = np.random.default_rng(36 if label is ClassLabel.F else 37)
     checked = 0
     while checked < 1000:
@@ -182,6 +194,28 @@ def test_t21_phase_shortcut_matches_rotated_function(label):
         want = toeplitz_t21_log(CoeffTriple.from_function(rotate_to_real_a2(m.f)))
         assert full_report(m).T21_log == pytest.approx(want, abs=1e-14)
         checked += 1
+
+
+def test_witness_functionals_are_exact():
+    """The witnesses' Schwarz data are rational (w = z or w = z^2) and every
+    formula has integer coefficients, so in Fraction arithmetic each of the
+    15 ledger sides comes out exactly equal to its bound."""
+    data = {"f1": (1, 0, 0), "f2": (0, 1, 0), "g1": (1, 0, 0), "g2": (0, 1, 0)}
+    reports = {}
+    for name, c in data.items():
+        exact = coeffs_from_schwarz_direct(ClassLabel(name[0].upper()),
+                                           *map(Fraction, c))
+        assert all(type(a) is Fraction for a in exact)
+        np.testing.assert_allclose([complex(a) for a in exact],
+                                   extremal_member(name, 4).f.series.coeffs[2:5],
+                                   rtol=0, atol=1e-15)
+        reports[name] = evaluate(CoeffTriple(*exact))
+    sides = [(entry.functional, chk) for entry in LEDGER for chk in entry.checks]
+    assert len(sides) == 15
+    for functional, chk in sides:
+        value = FUNCTIONAL_VALUES[functional](reports[chk.witness])
+        assert type(value) is Fraction, functional
+        assert value == chk.bound, (functional, chk.witness, value)
 
 
 def test_full_report_requires_order_four():
