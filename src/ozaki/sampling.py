@@ -14,7 +14,8 @@ Schwarz order 3 (``blaschke_product``) and read a2..a4 from
 ``coeffs_from_schwarz_direct``; single members, the extremal witnesses
 included, still come from ``solve_member`` of :mod:`ozaki.classes`.  Only
 active zeros (the first ``count`` of a product) are expanded, and the second
-product only for mixtures.  Chunks of ``_CHUNK`` members are the units of
+product only for mixtures; the draw gathers and places the active zeros by
+one list of flat indices.  Chunks of ``_CHUNK`` members are the units of
 seeding: each draws from its own child seed, so results do not depend on how
 many worker threads run the chunks (set ``OZAKI_THREADS`` to use more than
 one).  Tiles of ``_TILE`` members are the units of compute, small enough for
@@ -152,10 +153,11 @@ def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBa
         counts[near, 0] = near_counts[near]
     counts[:, 1] = np.where(is_mix, counts[:, 1], 0)
     r2[near, 0, :] = _NEAR_RADIUS_SQ + (1.0 - _NEAR_RADIUS_SQ) * r2[near, 0, :]
-    # only the first count zeros of a product are read; the others stay 0
-    active = np.arange(k) < counts[:, :, None]
+    # only the first count zeros of a product are read; the others stay 0.
+    # One flat index list serves the gathers and the scatter.
+    idx = np.flatnonzero(np.arange(k) < counts[:, :, None])
     zeros = np.zeros((n, 2, k), dtype=np.complex128)
-    zeros[active] = np.sqrt(r2[active]) * np.exp(1j * ang[active])
+    zeros.put(idx, np.sqrt(r2.take(idx)) * np.exp(1j * ang.take(idx)))
     return _BlaschkeBatch(theta=theta, zeros=zeros, counts=counts,
                           is_mix=is_mix, weight=weight)
 
@@ -209,13 +211,19 @@ def _check_members(f: np.ndarray, sides: tuple[tuple[str, BoundCheck], ...],
     a block of members, given coefficient-major as f[:5]."""
     report = evaluate(CoeffTriple(f[2], f[3], f[4]))
     crosscheck = inverse_crosscheck(f, report)
+    return (*_reduce(report, sides, tol), crosscheck)
+
+
+def _reduce(report, sides, tol) -> tuple[list[float], list[float], list[int]]:
+    """The minima, maxima and violation counts of ``_check_members``, from
+    the report of a block."""
     values = {name: value(report) for name, value in FUNCTIONAL_VALUES.items()}
     mins = [float(np.min(v)) for v in values.values()]
     maxs = [float(np.max(v)) for v in values.values()]
     violations = [int(np.sum(chk.sign * values[functional]
                              > chk.sign * float(chk.bound) + tol))
                   for functional, chk in sides]
-    return mins, maxs, violations, crosscheck
+    return mins, maxs, violations
 
 
 def _check_chunk(label: ClassLabel, seed: np.random.SeedSequence, size: int,

@@ -1,5 +1,6 @@
 """Coefficient functional formulas, rotation handling, and full reports."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 from ozaki.classes import (BlaschkeSpec, ClassLabel, build_member,
                            coeffs_from_schwarz_direct, extremal_member,
                            schwarz_from_blaschke)
-from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
-                               full_report, inverse_coeffs, log_coeffs,
+from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple,
+                               InverseSeriesMismatch, _composition_terms,
+                               evaluate, full_report, inverse_coeffs,
+                               inverse_crosscheck, log_coeffs,
                                schwarzian_initial)
 from ozaki.ledger import LEDGER
-from ozaki.series import NormalizedFunction, TruncatedSeries
+from ozaki.sampling import _CHUNK, _draw_batch, _members
+from ozaki.series import NormalizedFunction, TruncatedSeries, inverse
 from rotation_oracle import (NonRealSecondCoefficient, rotate_to_real_a2,
                              toeplitz_t21_log)
 
@@ -221,3 +225,76 @@ def test_witness_functionals_are_exact():
 def test_full_report_requires_order_four():
     with pytest.raises(ValueError):
         full_report(NormalizedFunction(TruncatedSeries([0, 1, 0.2])))
+
+
+# ----------------------------------------------------------------------
+# the inverse cross-check by composition
+
+WITNESS_SCHWARZ = {"f1": (1, 0, 0), "f2": (0, 1, 0), "g1": (1, 0, 0),
+                   "g2": (0, 1, 0)}
+
+
+def test_composition_vanishes_exactly_at_the_witnesses():
+    for name, c in WITNESS_SCHWARZ.items():
+        t = CoeffTriple(*coeffs_from_schwarz_direct(ClassLabel(name[0].upper()),
+                                                    *map(Fraction, c)))
+        terms = _composition_terms(t, inverse_coeffs(t))
+        assert all(type(term) is Fraction for term in terms), name
+        assert terms == (0, 0, 0), name
+
+
+def _moved(report, field, cols=None):
+    """``report`` with ``field`` moved by 1e-6 (in columns ``cols``)."""
+    value = getattr(report, field)
+    if cols is None:
+        value = value + 1e-6
+    else:
+        value = value.copy()
+        value[cols] += 1e-6
+    return dataclasses.replace(report, **{field: value})
+
+
+def _drawn_chunk(label, seed):
+    batch = _draw_batch(np.random.default_rng(seed), _CHUNK, 3)
+    return _members(label, batch)
+
+
+@pytest.mark.parametrize("field", ["A3", "A4"])
+def test_moved_inverse_coefficient_fails_the_check(field):
+    f = extremal_member("f1", 8).f.series.coeffs
+    report = evaluate(CoeffTriple(f[2], f[3], f[4]))
+    assert inverse_crosscheck(f, report) == 0.0
+    with pytest.raises(InverseSeriesMismatch):
+        inverse_crosscheck(f, _moved(report, field))
+    block = _drawn_chunk(ClassLabel.F, 1904)[:, :64]
+    report = evaluate(CoeffTriple(block[2], block[3], block[4]))
+    assert inverse_crosscheck(block, report) <= 1e-13
+    with pytest.raises(InverseSeriesMismatch):
+        inverse_crosscheck(block, _moved(report, field, 17))
+
+
+@pytest.mark.parametrize("label,seed", [(ClassLabel.F, 1905),
+                                        (ClassLabel.G, 1906)])
+def test_composition_agrees_with_series_inversion(label, seed):
+    """The series inversion of f is the oracle: on a drawn chunk both
+    residuals are tiny, and both single out the same corrupted column."""
+    f = _drawn_chunk(label, seed)
+    report = evaluate(CoeffTriple(f[2], f[3], f[4]))
+    inv = inverse(f)
+
+    def series_residual(r):
+        return np.max(np.abs(inv[2:5] - np.array([r.A2, r.A3, r.A4])), axis=0)
+
+    def composition_residual(r):
+        terms = _composition_terms(CoeffTriple(f[2], f[3], f[4]),
+                                   (r.A2, r.A3, r.A4))
+        return np.max(np.abs(np.array(terms)), axis=0)
+
+    assert series_residual(report).max() <= 1e-13
+    assert composition_residual(report).max() <= 1e-13
+    assert inverse_crosscheck(f, report) == composition_residual(report).max()
+    bad = 5000
+    for field in ("A3", "A4"):
+        moved = _moved(report, field, bad)
+        assert int(np.argmax(series_residual(moved))) == bad
+        assert int(np.argmax(composition_residual(moved))) == bad
