@@ -10,7 +10,9 @@ Floats are printed with 17 significant digits so output round-trips through
 text; rational bounds appear both as "num/den" strings and as decimals.
 Complex payload values are emitted as plain numbers when the imaginary part
 is zero, else as [re, im] pairs.  Field order is fixed, so repeating a
-command with the same seed yields byte-identical output.
+command with the same seed yields byte-identical output.  The JSON text is
+written in one pass that appends its pieces to one list, joined once;
+strings are escaped to ASCII as ``json.dumps`` escapes them.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ import dataclasses
 import functools
 import io
 import csv
-import json
 import math
 import re
 import sys
 from fractions import Fraction
 from itertools import groupby
-from typing import Any, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .classes import (CaratheodoryCoeffs, ClassLabel, SchwarzCoeffs,
@@ -64,32 +66,44 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _jsonval(value: Any, indent: int) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_jsonval(v, indent + 2)}"
-            for k, v in value.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_jsonval(v, indent + 2)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value)}")
+# the types written without an isinstance test; a value of another type (a
+# subclass, such as np.float64) is written as the first of _TYPES it is
+_TYPES = (dict, list, tuple, bool, int, float, str)
+_PLAIN = frozenset(_TYPES + (type(None),))
+
+
+def _write_json(value: Any, pad: str, append: Callable[[str], None]) -> None:
+    """Append the JSON text of ``value`` in pieces; ``pad`` is the line
+    break and indent of the line that holds it."""
+    kind = type(value)
+    if kind not in _PLAIN:
+        kind = next((t for t in _TYPES if isinstance(value, t)), None)
+    if kind is float:
+        append(_fmt_float(value))
+    elif kind is str:
+        append(encode_basestring_ascii(value))
+    elif kind is dict:
+        sep = "{" + (inner := pad + "  ")
+        for k, v in value.items():
+            append(f"{sep}{encode_basestring_ascii(str(k))}: ")
+            _write_json(v, inner, append)
+            sep = "," + inner
+        append(pad + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        sep = "[" + (inner := pad + "  ")
+        for v in value:
+            append(sep)
+            _write_json(v, inner, append)
+            sep = "," + inner
+        append(pad + "]" if value else "[]")
+    elif kind is bool:
+        append("true" if value else "false")
+    elif kind is int:
+        append(str(value))
+    elif value is None:
+        append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(value)}")
 
 
 def _num(z: complex) -> Any:
@@ -107,7 +121,9 @@ def _frac(q: Fraction) -> str:
 def emit(envelope: dict, fmt: str, csv_rows: list[tuple] | None = None) -> str:
     """Serialize an output envelope to JSON, or its CSV rows to CSV text."""
     if fmt == "json":
-        return _jsonval(envelope, 0) + "\n"
+        pieces: list[str] = []
+        _write_json(envelope, "\n", pieces.append)
+        return "".join(pieces) + "\n"
     if fmt == "csv":
         if csv_rows is None:
             raise _UsageError("csv format applies to sample and optimize output only")

@@ -189,12 +189,13 @@ def inverse_crosscheck(f: np.ndarray, report: FunctionalReport) -> float:
     and F with the closed-form A2, A3, A4 of ``report``: zero exactly when F
     inverts f, as a series inversion would check, at a few products.
 
-    Raises :class:`InverseSeriesMismatch` beyond ``INVERSE_CROSSCHECK_TOL``.
+    Raises :class:`InverseSeriesMismatch` beyond ``INVERSE_CROSSCHECK_TOL``
+    and on NaN.
     """
     terms = _composition_terms(CoeffTriple(f[2], f[3], f[4]),
                                (report.A2, report.A3, report.A4))
-    worst = float(max(np.max(np.abs(term)) for term in terms))
-    if worst > INVERSE_CROSSCHECK_TOL:
+    worst = float(np.max(np.abs(np.stack(terms))))   # NaN propagates
+    if not worst <= INVERSE_CROSSCHECK_TOL:
         raise InverseSeriesMismatch(
             f"f(F(w)) - w deviates from zero by {worst}")
     return worst

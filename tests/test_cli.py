@@ -6,8 +6,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from emit_oracle import _jsonval
 from ozaki import __version__, cli
 from ozaki.cli import main, run
 from ozaki.functionals import FunctionalReport
@@ -228,6 +231,39 @@ def test_seventeen_digit_floats():
     env = json.loads(text)
     # -1/144 round-trips exactly through the printed representation
     assert env["payload"]["T21_log"] == -1 / 144
+
+
+# every string, lone surrogates included
+_text = st.text(st.characters(exclude_categories=()), max_size=12)
+_floats = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                              -1e308, 0.1]))
+_leaves = (st.none() | st.booleans() | st.integers() | _floats
+           | _floats.map(np.float64) | _text)
+_values = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_text, inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_json_writer_matches_the_recursive_oracle(value):
+    assert cli.emit(value, "json") == _jsonval(value, 0) + "\n"
+
+
+@pytest.mark.parametrize("bad,error", [
+    (float("nan"), ValueError), (float("inf"), ValueError),
+    (float("-inf"), ValueError), (np.float64("nan"), ValueError),
+    (1 + 2j, TypeError)])
+def test_json_writer_rejects_what_the_oracle_rejects(bad, error):
+    value = {"payload": {"ok": [1.0, "x"], "bad": [0.5, bad]}}
+    with pytest.raises(error):
+        _jsonval(value, 0)
+    with pytest.raises(error):
+        cli.emit(value, "json")
 
 
 def test_repeat_same_command_byte_identical():

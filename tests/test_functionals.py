@@ -273,6 +273,16 @@ def test_moved_inverse_coefficient_fails_the_check(field):
         inverse_crosscheck(block, _moved(report, field, 17))
 
 
+def test_nan_coefficient_fails_the_check():
+    """A NaN a3 raises, for one member and in one column of a batch."""
+    member = np.array([0, 1, 0.5, np.nan, 0.1])
+    block = _drawn_chunk(ClassLabel.G, 1907)[:, :2].copy()
+    block[3, 1] = np.nan
+    for f in (member, block):
+        with pytest.raises(InverseSeriesMismatch):
+            inverse_crosscheck(f, evaluate(CoeffTriple(f[2], f[3], f[4])))
+
+
 @pytest.mark.parametrize("label,seed", [(ClassLabel.F, 1905),
                                         (ClassLabel.G, 1906)])
 def test_composition_agrees_with_series_inversion(label, seed):
