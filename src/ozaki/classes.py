@@ -76,14 +76,18 @@ class SchwarzCoeffs:
 
     def array(self, order: int) -> np.ndarray:
         """Coefficients 0..order of w (stored data treated as exact)."""
-        out = np.zeros(order + 1, dtype=np.complex128)
-        m = min(len(self.c), order)
-        out[1: m + 1] = self.c[:m]
-        return out
+        return np.array((0.0,) + self.prefix(order), dtype=np.complex128)
 
 
 _CARATHEODORY_TOL = 1e-9
 _CHECKED_PREFIX = 3   # a2, a3, a4 depend on p1, p2, p3
+
+
+@cache
+def _toeplitz_index(size: int) -> np.ndarray:
+    """|j - i| at (i, j): indexed by it, (2, p1, ...) gives p_(j-i) above the
+    diagonal, the only part that eigvalsh reads."""
+    return np.abs(np.arange(size)[:, None] - np.arange(size))
 
 
 def _require_caratheodory_prefix(p) -> None:
@@ -94,10 +98,7 @@ def _require_caratheodory_prefix(p) -> None:
     name = f"(p1, ..., p{c.size - 1}) fails the Caratheodory-Toeplitz criterion"
     if not np.all(np.isfinite(c)):   # LAPACK does not converge on these
         raise ValueError(f"{name}: it has a non-finite coefficient")
-    k = np.arange(c.size)
-    # entry (i, j) is p_(j-i) above the diagonal; eigvalsh reads only there
-    toeplitz = c[np.abs(k[None, :] - k[:, None])]
-    lowest = np.linalg.eigvalsh(toeplitz, UPLO="U")[0]
+    lowest = np.linalg.eigvalsh(c[_toeplitz_index(c.size)], UPLO="U")[0]
     if not lowest >= -_CARATHEODORY_TOL:
         raise ValueError(f"{name}: the Toeplitz matrix of (2, p1, ...) has "
                          f"eigenvalue {lowest:.3g} < 0")
@@ -123,11 +124,7 @@ class CaratheodoryCoeffs:
 
     def array(self, order: int) -> np.ndarray:
         """Coefficients 0..order of p (stored data treated as exact)."""
-        out = np.zeros(order + 1, dtype=np.complex128)
-        out[0] = 1.0
-        m = min(len(self.p), order)
-        out[1: m + 1] = self.p[:m]
-        return out
+        return np.array((1.0,) + self.prefix(order), dtype=np.complex128)
 
 
 _UNIT_TOL = 1e-12
@@ -303,9 +300,7 @@ def build_member(label: ClassLabel, w: SchwarzCoeffs, order: int) -> OzakiFuncti
     if order < 4:
         raise ValueError("order must be >= 4")
     given = max(len(w.c), _CHECKED_PREFIX)
-    # huge or non-finite c overflows to non-finite p, which the rule rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = caratheodory_array(w.array(max(order, given)))
+    p = caratheodory_array(w.array(max(order, given)))
     _require_caratheodory_prefix(p[1: given + 1])
     f = TruncatedSeries(solve_member(label, p[: order + 1]))
     return OzakiFunction(label, NormalizedFunction(f), w)

@@ -36,7 +36,7 @@ from .classes import (CaratheodoryCoeffs, ClassLabel, SchwarzCoeffs,
                       coeffs_from_caratheodory_direct,
                       coeffs_from_schwarz_direct, extremal_member,
                       EXTREMAL_NAMES)
-from .functionals import FunctionalReport, full_report
+from .functionals import FUNCTIONAL_ORDER, FunctionalReport, full_report
 from .gridsearch import grid_extremize
 from .ledger import check_extremals
 from .objectives import OBJECTIVES, ObjectiveId
@@ -192,17 +192,21 @@ def _build_parser() -> _Parser:
                                  "verification for the Ozaki close-to-convex "
                                  "classes F and G.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = {}   # name -> that subcommand's parser, for _parse
+
+    def add(name, help):
+        parser.subcommands[name] = sub.add_parser(name, help=help)
+        return parser.subcommands[name]
 
     def add_format(p, *tabular):   # "csv" only where the payload has rows
         p.add_argument("--format", choices=("json",) + tabular, default="json")
 
-    p = sub.add_parser("extremal", help="coefficients of an extremal function")
+    p = add("extremal", "coefficients of an extremal function")
     p.add_argument("name", choices=EXTREMAL_NAMES)
     p.add_argument("--order", type=int, default=8)
     add_format(p)
 
-    p = sub.add_parser("coeffs", help="initial coefficients from Schwarz or "
-                                      "Caratheodory data")
+    p = add("coeffs", "initial coefficients from Schwarz or Caratheodory data")
     p.add_argument("--class", dest="label", choices=("F", "G"), required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--schwarz", help="c1,c2,... as re:im,re:im,...")
@@ -210,7 +214,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, default=8)
     add_format(p)
 
-    p = sub.add_parser("report", help="all coefficient functionals of one function")
+    p = add("report", "all coefficient functionals of one function")
     p.add_argument("--class", dest="label", choices=("F", "G"))
     src = p.add_mutually_exclusive_group()
     src.add_argument("--extremal", choices=EXTREMAL_NAMES)
@@ -219,20 +223,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, default=8)
     add_format(p)
 
-    p = sub.add_parser("verify", help="sharpness of every ledger bound at its witness")
+    p = add("verify", "sharpness of every ledger bound at its witness")
     p.add_argument("--class", dest="label", choices=("F", "G", "all"), default="all")
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--tol", type=float, default=_VERIFY_TOL)
     add_format(p)
 
-    p = sub.add_parser("optimize", help="grid extremization of the reduced objectives")
+    p = add("optimize", "grid extremization of the reduced objectives")
     p.add_argument("--objective", default="all",
                    choices=tuple(o.value for o in ObjectiveId) + ("all",))
     p.add_argument("--resolution", type=int, default=2000)
     p.add_argument("--refine", type=int, default=3)
     add_format(p, "csv")
 
-    p = sub.add_parser("sample", help="randomized bound-violation search")
+    p = add("sample", "randomized bound-violation search")
     p.add_argument("--class", dest="label", choices=("F", "G"), required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--order", type=int, default=8)
@@ -244,6 +248,17 @@ def _build_parser() -> _Parser:
     add_format(p, "csv")
 
     return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The options of one command line: the subcommand's own parser reads a
+    line that starts with its name, the full parser every other line."""
+    argv = _attach_negative_values(argv)
+    parser = _build_parser()
+    if argv and argv[0] in parser.subcommands:
+        return parser.subcommands[argv[0]].parse_args(
+            argv[1:], argparse.Namespace(subcommand=argv[0]))
+    return parser.parse_args(argv)
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +281,9 @@ def _payload_extremal(args) -> _Payload:
     return payload, "ok", None
 
 
-def _member_from_args(args):
+def _member_from_args(args, order: int):
     if getattr(args, "extremal", None) is not None:
-        member = extremal_member(args.extremal, args.order)
+        member = extremal_member(args.extremal, order)
         if args.label is not None and args.label != member.label.value:
             raise _UsageError(f"--class {args.label} conflicts with --extremal "
                               f"{args.extremal}, a class-{member.label.value} member")
@@ -278,23 +293,22 @@ def _member_from_args(args):
     label = ClassLabel(args.label)
     if args.schwarz is not None:
         w = SchwarzCoeffs(_parse_complex_list(args.schwarz))
-        member = build_member(label, w, args.order)
+        member = build_member(label, w, order)
         src = {"source": "schwarz", "input": [_num(c) for c in w.c]}
     else:
         p = CaratheodoryCoeffs(_parse_complex_list(args.caratheodory))
-        member = build_member_from_caratheodory(label, p, args.order)
+        member = build_member_from_caratheodory(label, p, order)
         src = {"source": "caratheodory", "input": [_num(v) for v in p.p]}
     return member, src
 
 
 def _payload_coeffs(args) -> _Payload:
-    label = ClassLabel(args.label)
-    member, src = _member_from_args(args)
+    member, src = _member_from_args(args, args.order)
     # the provenance is the parsed (and membership-checked) input
     if args.schwarz is not None:
-        direct = coeffs_from_schwarz_direct(label, *member.provenance.prefix(3))
+        direct = coeffs_from_schwarz_direct(member.label, *member.provenance.prefix(3))
     else:
-        direct = coeffs_from_caratheodory_direct(label, member.provenance)
+        direct = coeffs_from_caratheodory_direct(member.label, member.provenance)
     payload = {
         "label": args.label,
         **src,
@@ -310,9 +324,10 @@ def _payload_coeffs(args) -> _Payload:
 
 
 def _payload_report(args) -> _Payload:
-    member, src = _member_from_args(args)
+    # full_report reads a2..a4, which the prefix-stable solve gives at any order
+    member, src = _member_from_args(args, min(args.order, FUNCTIONAL_ORDER))
     r = full_report(member)
-    payload = {"label": member.label.value, **src, "order": member.order}
+    payload = {"label": member.label.value, **src, "order": args.order}
     payload.update((name, _num(getattr(r, name))) for name in _REPORT_FIELDS)
     return payload, "ok", None
 
@@ -434,8 +449,7 @@ _DISPATCH = {
 
 def run(argv: Sequence[str]) -> tuple[int, str]:
     """Execute one command line; returns (exit status, output text)."""
-    parser = _build_parser()
-    args = parser.parse_args(_attach_negative_values(argv))
+    args = _parse(argv)
     payload, status, csv_rows = _DISPATCH[args.subcommand](args)
     envelope = _envelope(" ".join(argv), payload, status,
                          seed=getattr(args, "seed", None))

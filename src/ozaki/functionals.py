@@ -52,9 +52,11 @@ __all__ = [
     "full_report",
     "FUNCTIONAL_VALUES",
     "INVERSE_CROSSCHECK_TOL",
+    "FUNCTIONAL_ORDER",
 ]
 
 INVERSE_CROSSCHECK_TOL = 1e-10
+FUNCTIONAL_ORDER = 4   # a4, the highest coefficient any functional reads
 
 
 class InverseSeriesMismatch(ArithmeticError):
@@ -68,7 +70,7 @@ class CoeffTriple(NamedTuple):
 
     @classmethod
     def from_function(cls, f: NormalizedFunction) -> "CoeffTriple":
-        if f.order < 4:
+        if f.order < FUNCTIONAL_ORDER:
             raise ValueError("need coefficients up to a4, so order >= 4")
         return cls(f.coeff(2), f.coeff(3), f.coeff(4))
 

@@ -39,8 +39,8 @@ import numpy as np
 
 from .classes import (ClassLabel, blaschke_product, coeffs_from_schwarz_direct,
                       extremal_member)
-from .functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
-                          inverse_crosscheck)
+from .functionals import (FUNCTIONAL_ORDER, FUNCTIONAL_VALUES, CoeffTriple,
+                          evaluate, inverse_crosscheck)
 from .ledger import BoundCheck, entries_for
 
 __all__ = ["SampleConfig", "SampleCheck", "SampleReport", "sample_and_check",
@@ -49,7 +49,6 @@ __all__ = ["SampleConfig", "SampleCheck", "SampleReport", "sample_and_check",
 THREADS_ENV_VAR = "OZAKI_THREADS"
 _CHUNK = 16384   # members per child seed: the unit of seeding
 _TILE = 4096     # members expanded and checked at once: the unit of compute
-_SAMPLED_ORDER = 4   # a2..a4, all that the functionals read
 
 # sampler mix: pure rotations, boundary-hugging zeros, plain draws
 _PURE_ROTATION_SHARE = 0.10
@@ -198,7 +197,7 @@ def spec_from_batch(batch: _BlaschkeBatch, i: int):
 def _members(label: ClassLabel, batch: _BlaschkeBatch) -> np.ndarray:
     """a0..a4 (coefficient-major, one column per member) of a drawn batch."""
     w = _schwarz_coeffs(batch, 3)   # c1..c3, all that a2..a4 read
-    f = np.zeros((_SAMPLED_ORDER + 1, w.shape[1]), dtype=np.complex128)
+    f = np.zeros((FUNCTIONAL_ORDER + 1, w.shape[1]), dtype=np.complex128)
     f[1] = 1.0
     f[2:] = coeffs_from_schwarz_direct(label, w[1], w[2], w[3])
     return f
@@ -272,7 +271,7 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
             seeds, sizes) for tile in chunk]
     if cfg.include_extremals:
         witnesses = sorted({chk.witness for _, chk in sides})
-        block = np.stack([extremal_member(name, _SAMPLED_ORDER).f.series.coeffs
+        block = np.stack([extremal_member(name, FUNCTIONAL_ORDER).f.series.coeffs
                           for name in witnesses], axis=1)
         blocks.append(_check_members(block, sides, tol))
 

@@ -19,10 +19,12 @@ Beneath the class sit the array kernels :func:`mul`, :func:`div`,
 :func:`exp`, :func:`log`, :func:`antiderivative` and :func:`inverse`.  They
 are coefficient-major: axis 0 is the power of ``z`` and any trailing axes
 index a batch of series, so a 1-D array is one series and an array of shape
-``(order+1, n)`` holds n of them.  Every kernel is built on one reduction
-over axis 0 and returns as many coefficients as its input has.  The kernels
-do not check preconditions; the :class:`TruncatedSeries` methods that wrap
-them do.
+``(order+1, n)`` holds n of them.  Each kernel is a plain recurrence over
+the rows of its input, with no reduction helper: Python complex numbers for
+one series (cheaper than numpy calls at small orders, slower beyond about 40
+coefficients) and numpy rows for a batch.  Each returns as many coefficients
+as its input has and checks no precondition; the :class:`TruncatedSeries`
+methods that wrap the kernels do.
 """
 
 from __future__ import annotations
@@ -80,61 +82,56 @@ class NotNormalized(SeriesError):
     """Series is not of the normalized form z + a2 z^2 + ..."""
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 of a * b: ``np.dot`` for one series (the cheaper call
-    on short vectors), ``einsum`` in index order for a batch."""
-    if a.ndim == 1:
-        return np.dot(a, b)
-    return np.einsum("i...,i...->...", a, b)
+def _rows(a: np.ndarray) -> list:
+    """The rows of a: Python complex numbers for one series, arrays for a batch."""
+    return a.tolist() if a.ndim == 1 else list(a)
 
 
-def _powers(a: np.ndarray, start: int = 0) -> np.ndarray:
-    """start, start+1, ... along axis 0, shaped to broadcast against a."""
-    k = np.arange(start, start + a.shape[0])
-    return k.reshape(k.shape + (1,) * (a.ndim - 1))
+def _stack(rows: list, a: np.ndarray) -> np.ndarray:
+    """rows as one coefficient-major array in the batch shape of a."""
+    out = np.empty((len(rows),) + a.shape[1:], dtype=np.complex128)
+    for k, row in enumerate(rows):
+        out[k] = row
+    return out
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cauchy product of two series of equal shape, truncated to it."""
-    out = np.empty(a.shape, dtype=np.complex128)
-    for k in range(out.shape[0]):
-        out[k] = _dot(a[: k + 1], b[k::-1])
-    return out
+    x, y = _rows(a), _rows(b)
+    return _stack([sum(x[i] * y[k - i] for i in range(k + 1))
+                   for k in range(len(x))], a)
 
 
 def div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quotient a / b of two series of equal shape; b[0] must not vanish."""
-    q = np.empty(a.shape, dtype=np.complex128)
-    for k in range(q.shape[0]):
-        q[k] = (a[k] - _dot(q[:k], b[k:0:-1])) / b[0]
-    return q
+    x, y = _rows(a), _rows(b)
+    q = []
+    for k in range(len(x)):
+        q.append((x[k] - sum(q[i] * y[k - i] for i in range(k))) / y[0])
+    return _stack(q, a)
 
 
 def exp(s: np.ndarray) -> np.ndarray:
     """exp of a series with zero constant term, via e' = e * s'."""
-    e = np.empty(s.shape, dtype=np.complex128)
-    e[0] = 1.0
-    ws = s * _powers(s)  # k * s_k
-    for m in range(1, s.shape[0]):
-        e[m] = _dot(ws[1: m + 1], e[m - 1:: -1]) / m
-    return e
+    ws = [k * c for k, c in enumerate(_rows(s))]   # k * s_k
+    e = [1.0]
+    for m in range(1, len(ws)):
+        e.append(sum(ws[k] * e[m - k] for k in range(1, m + 1)) / m)
+    return _stack(e, s)
 
 
 def log(s: np.ndarray) -> np.ndarray:
     """log of a series with unit constant term, recurrence dual to exp."""
-    out = np.empty(s.shape, dtype=np.complex128)
-    out[0] = 0.0
-    ks = _powers(s)
-    for m in range(1, s.shape[0]):
-        out[m] = (m * s[m] - _dot(out[1:m] * ks[1:m], s[m - 1: 0: -1])) / m
-    return out
+    x = _rows(s)
+    out = [0.0]
+    for m in range(1, len(x)):
+        out.append((m * x[m] - sum(k * out[k] * x[m - k] for k in range(1, m))) / m)
+    return _stack(out, s)
 
 
 def antiderivative(s: np.ndarray) -> np.ndarray:
     """Antiderivative vanishing at 0; one coefficient longer than s."""
-    out = np.zeros((s.shape[0] + 1,) + s.shape[1:], dtype=np.complex128)
-    out[1:] = s / _powers(s, 1)
-    return out
+    return _stack([0.0] + [c / k for k, c in enumerate(_rows(s), 1)], s)
 
 
 def inverse(f: np.ndarray) -> np.ndarray:
@@ -143,20 +140,18 @@ def inverse(f: np.ndarray) -> np.ndarray:
     Built coefficient by coefficient: with A2..A(m-1) fixed and Am = 0,
     the w^m coefficient of f(F(w)) = sum_k a_k F^k is exactly -Am.
     """
-    inv = np.zeros(f.shape, dtype=np.complex128)
-    inv[1] = 1.0
-    for m in range(2, f.shape[0]):
-        head = inv[: m + 1]
-        power = head
-        acc = np.zeros(f.shape[1:], dtype=np.complex128)
+    x = _rows(f)
+    inv = [0.0, 1.0]
+    for m in range(2, len(x)):
+        head = power = inv + [0.0]
+        acc = 0.0
         for k in range(2, m + 1):
-            # F^k vanishes below z^k, so only coefficients k..m are summed
-            prev, power = power, np.zeros_like(head)
-            for j in range(k, m + 1):
-                power[j] = _dot(prev[: j + 1], head[j::-1])
-            acc += f[k] * power[m]
-        inv[m] = -acc
-    return inv
+            # F^k vanishes below z^k, so only coefficients k..m are computed
+            power = [0.0] * k + [sum(power[i] * head[j - i] for i in range(j + 1))
+                                 for j in range(k, m + 1)]
+            acc += x[k] * power[m]
+        inv.append(-acc)
+    return _stack(inv, f)
 
 
 class TruncatedSeries:
@@ -218,8 +213,7 @@ class TruncatedSeries:
             return TruncatedSeries(self._c / complex(other))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        t0 = other._c[0]
-        if t0 == 0:
+        if other._c[0] == 0:
             raise DivisionByNonUnit("division requires a nonzero constant term")
         n = min(self.order, other.order)
         return TruncatedSeries(div(self._c[: n + 1], other._c[: n + 1]))
@@ -230,8 +224,7 @@ class TruncatedSeries:
         """Coefficientwise derivative; order drops by one."""
         if self.order < 1:
             raise SeriesError("derivative requires order >= 1")
-        k = np.arange(1, self._c.size)
-        return TruncatedSeries(self._c[1:] * k)
+        return TruncatedSeries(self._c[1:] * np.arange(1, self._c.size))
 
     def antiderivative(self) -> "TruncatedSeries":
         """Antiderivative vanishing at 0; order grows by one."""
@@ -249,8 +242,7 @@ class TruncatedSeries:
             raise CompositionAtNonOrigin(
                 f"inner constant term must be 0, got {inner._c[0]}")
         n = self.order
-        g = np.zeros(n + 1, dtype=np.complex128)
-        g[: min(n, inner.order) + 1] = inner._c[: n + 1]
+        g = inner.padded(n).coeffs
         acc = np.zeros(n + 1, dtype=np.complex128)
         acc[0] = self._c[n]
         for k in range(n - 1, -1, -1):
@@ -284,9 +276,7 @@ def identity(order: int) -> TruncatedSeries:
     """The series of z itself."""
     if order < 1:
         raise SeriesError("identity requires order >= 1")
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[1] = 1.0
-    return TruncatedSeries(c)
+    return TruncatedSeries([0.0, 1.0] + [0.0] * (order - 1))
 
 
 class NormalizedFunction:

@@ -2,6 +2,7 @@
 
 import cmath
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ import pytest
 from ozaki.classes import (BlaschkeSpec, CaratheodoryCoeffs, ClassLabel,
                            LiberaParams, SchwarzCoeffs, UnknownExtremalName,
                            ZeroOutsideDisk, blaschke_product, build_member,
-                           build_member_from_caratheodory,
+                           build_member_from_caratheodory, caratheodory_array,
                            caratheodory_from_schwarz,
                            coeffs_from_caratheodory_direct,
                            coeffs_from_schwarz_direct, extremal_member,
-                           libera_expand, schwarz_from_blaschke)
+                           libera_expand, schwarz_from_blaschke, solve_member)
 from test_series import binomial_pow_oracle
 
 F, G = ClassLabel.F, ClassLabel.G
@@ -294,6 +295,30 @@ def test_extremals_match_ode_construction():
         witness = extremal_member(name, order)
         assert witness.label is label and witness.provenance == name
         np.testing.assert_array_equal(witness.f.series.coeffs, ode)
+
+
+# name: (class, Schwarz data, alpha, step) with f' = (1 - z^step)^alpha
+WITNESS_CLOSED_FORMS = {"f1": (F, (1,), Fraction(-3), 1),
+                        "f2": (F, (0, 1), Fraction(-3, 2), 2),
+                        "g1": (G, (1,), Fraction(1), 1),
+                        "g2": (G, (0, 1), Fraction(1, 2), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CLOSED_FORMS))
+def test_member_solve_reproduces_witnesses_exactly(name):
+    """Through order 12 every coefficient the solve gives a witness is the
+    double nearest its exact rational value, so the witnesses that sample,
+    verify and extremal print carry no rounding of the solve."""
+    label, c, alpha, step = WITNESS_CLOSED_FORMS[name]
+    order = 12
+    fprime = [Fraction(0)] * order   # binomial series of (1 - z^step)^alpha
+    term = Fraction(1)
+    for k in range(0, order, step):
+        fprime[k] = term
+        term *= (k // step - alpha) / (k // step + 1)
+    exact = [0.0] + [float(a / n) for n, a in enumerate(fprime, 1)]
+    got = solve_member(label, caratheodory_array(SchwarzCoeffs(c).array(order)))
+    assert got.tolist() == exact
 
 
 def test_extremal_member_is_cached_but_never_shared():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emit_oracle import _jsonval
+from parse_oracle import parse_with_full_parser
 from ozaki import __version__, cli
 from ozaki.cli import main, run
 from ozaki.functionals import FunctionalReport
@@ -328,6 +329,22 @@ def test_member_with_tiny_a2_is_accepted(data, capsys):
     assert json.loads(out.out)["payload"]["T21_log"] == 0
 
 
+@pytest.mark.parametrize("data", [
+    ("--class", "G", "--schwarz", "0.3:0.1,-0.2,0.05"),
+    ("--class", "F", "--caratheodory", "0.5:0.2,-0.1"),
+    ("--extremal", "g2"),
+])
+def test_report_values_do_not_depend_on_order(data):
+    """report echoes --order but reads only a2..a4, which do not change with
+    the order the member is carried to."""
+    payloads = []
+    for order in (4, 8, 40):
+        code, env = invoke("report", *data, "--order", str(order))
+        assert code == 0 and env["payload"].pop("order") == order
+        payloads.append(env["payload"])
+    assert payloads[0] == payloads[1] == payloads[2]
+
+
 def test_report_rejects_class_conflicting_with_extremal(capsys):
     assert main(["report", "--class", "G", "--extremal", "f1"]) == 1
     assert "conflicts with --extremal" in capsys.readouterr().err
@@ -465,3 +482,67 @@ def test_verify_reports_a_shifted_residual(monkeypatch):
     assert p["failures"] == 1
     assert p["max_abs_residual"] == pytest.approx(1e-9, rel=1e-3)
     assert [c["ok"] for e in p["entries"] for c in e["checks"]].count(False) == 1
+
+
+# ----------------------------------------------------------------------
+# one argparse pass: the subcommand's parser agrees with the full parser
+
+PARSE_CORPUS = [
+    ("extremal", "g2", "--order", "6"),
+    ("coeffs", "--class", "F", "--schwarz", "0.3:0.1,0.2"),
+    ("coeffs", "--class", "G", "--caratheodory=0.5,0.1:0.2", "--order", "5"),
+    ("report", "--extremal", "f2"),
+    ("report", "--class", "F", "--sch", "0.3:0.1,0.2"),
+    ("report", "--class=G", "--schwarz=-0.3:0.1,0.2"),
+    ("report", "--class", "F", "--schwarz", "-0.3:0.1", "--order", "12"),
+    ("report", "--cl", "G", "--ca", "-0.5:0.1"),
+    ("verify", "--class", "G", "--tol", "1e-9"),
+    ("optimize", "--objective", "NG", "--resolution", "40", "--refine", "0",
+     "--format", "csv"),
+    ("sample", "--class", "G", "--samples", "50", "--seed", "3", "--no-ext"),
+    ("-h",),
+    ("report", "-h"),
+    # usage errors
+    (),
+    ("bogus",),
+    ("rep", "--extremal", "f1"),
+    ("--", "report", "--extremal", "f1"),
+    ("--class", "F", "report"),
+    ("report", "--extremal", "f1", "--bogus"),
+    ("report", "--extremal", "f1", "extra"),
+    ("report", "--class", "H", "--schwarz", "0.1"),
+    ("report", "--extremal", "f9"),
+    ("coeffs", "--schwarz", "0.1"),
+    ("coeffs", "--class", "F", "--schwarz", "0.1", "--caratheodory", "0.1"),
+    ("report", "--class", "F", "--schwarz", "0.1", "--order", "four"),
+    ("report", "--class", "F", "--c", "-0.5:0.1"),
+    ("sample", "--class", "F", "--samples", "1.5"),
+    ("verify", "--order"),
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:   # help exits from inside the parser
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda a: " ".join(a) or "(empty)")
+def test_subcommand_parser_agrees_with_full_parser(argv, capsys, monkeypatch):
+    fast = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", parse_with_full_parser)
+    assert fast == _outcome(argv, capsys)
+
+
+def test_only_lines_without_a_subcommand_reach_the_full_parser(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full parser used")
+    monkeypatch.setattr(cli._build_parser(), "parse_args", refuse)
+    args = cli._parse(["report", "--class", "F", "--sch", "-0.3:0.1"])
+    assert (args.subcommand, args.label, args.schwarz) == ("report", "F", "-0.3:0.1")
+    for argv in ([], ["--", "report"], ["bogus"]):
+        with pytest.raises(AssertionError, match="full parser used"):
+            cli._parse(argv)

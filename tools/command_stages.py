@@ -8,7 +8,8 @@ commands and one ``verify --class all`` each), runs the first block once
 untimed as a warm-up, and then times every command once with
 ``time.perf_counter`` in the phases that ``ozaki.cli.run`` goes through:
 
-* ``parse``: the argument parser on the command line;
+* ``parse``: ``ozaki.cli._parse``, the step of ``run`` that reads the
+  command line with the subcommand's own parser;
 * ``payload``: the subcommand's payload, the member build and its
   functionals, or the ledger check of ``verify``;
 * ``emit``: the envelope and its JSON text.
@@ -51,7 +52,7 @@ def time_command(argv) -> tuple[dict[str, float], int, str]:
     """Seconds per phase of one command, and its exit code and output text
     as ``cli.run`` returns them."""
     t0 = time.perf_counter()
-    args = cli._build_parser().parse_args(cli._attach_negative_values(argv))
+    args = cli._parse(argv)
     t1 = time.perf_counter()
     payload, status, csv_rows = cli._DISPATCH[args.subcommand](args)
     t2 = time.perf_counter()
