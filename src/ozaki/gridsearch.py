@@ -27,7 +27,9 @@ place these at most four candidates per row.  The values compared and
 reported are the objective at the same grid points the full grid holds, with
 ties going to the smallest column and then the smallest row, as a flat
 argmax over the full grid breaks them.  So each round returns the full
-grid's maximum while evaluating O(R) points.
+grid's maximum while evaluating O(R) points.  These are held candidate-major,
+one column per grid row, so each numpy operation runs one loop of length R,
+not R loops of length 3 or 4; their columns come in order, with no sort.
 """
 
 from __future__ import annotations
@@ -77,15 +79,18 @@ def _row_maxima(obj: Objective, sign: float, uu: np.ndarray,
                 vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest in-domain value of sign * fn on each grid row, and its column.
 
-    The window never starts below v = 0, so a row's in-domain columns run
-    from 0 to j_hi, the last column with v <= v_max(u).  Rows with no
-    in-domain column get -inf; of equal values the smallest column wins.
+    A row's in-domain columns run from 0 to j_hi, the last column with
+    v <= v_max(u).  The probes are (3, R) and the candidates (4, R).  On a
+    non-empty run the candidates 0 <= j_v <= min(j_v + 1, j_hi) <= j_hi are
+    in order, so the first argmax is the smallest column of equal values
+    without a sort.  On an empty run (j_hi = -1) all four clip to column 0,
+    which contains() rejects, so the row gets -inf at column 0.
     """
-    u = uu[:, None]
+    u = uu[None, :]
     last = len(vv) - 1
     j_hi = np.searchsorted(vv, np.broadcast_to(obj.domain.v_max(uu), uu.shape),
                            side="right") - 1
-    f0, fh, f1 = (sign * obj.fn(u, np.array([0.0, 0.5, 1.0]))).T
+    f0, fh, f1 = sign * obj.fn(u, np.array([[0.0], [0.5], [1.0]]))
     c = 2.0 * (f0 - 2.0 * fh + f1)
     b = 4.0 * fh - 3.0 * f0 - f1
     # np.where evaluates -b / (2c) on the rows with c = 0 too, then drops it
@@ -93,15 +98,12 @@ def _row_maxima(obj: Objective, sign: float, uu: np.ndarray,
         vertex = np.where(c < 0.0, -b / (2.0 * c), vv[0])
     j_v = np.floor((vertex - vv[0]) * last / (vv[-1] - vv[0]))
     j_v = np.clip(j_v, 0, j_hi).astype(np.intp)
-    cols = np.stack([np.zeros_like(j_v), j_v, np.minimum(j_v + 1, j_hi), j_hi], axis=1)
-    # clipping to the grid only moves columns of rows with an empty run
-    # (j_hi = -1), all of whose columns contains() rejects
-    cols = np.sort(np.clip(cols, 0, last), axis=1)
+    cols = np.stack([np.zeros_like(j_v), j_v, np.minimum(j_v + 1, j_hi), j_hi])
+    np.clip(cols, 0, last, out=cols)
     v = vv[cols]
     vals = np.where(obj.domain.contains(u, v), sign * obj.fn(u, v), -np.inf)
-    k = np.argmax(vals, axis=1)
-    rows = np.arange(len(uu))
-    return vals[rows, k], cols[rows, k]
+    k, rows = np.argmax(vals, axis=0), np.arange(len(uu))
+    return vals[k, rows], cols[k, rows]
 
 
 def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
@@ -156,10 +158,7 @@ def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
                max(v_lo, best_pt[1] - half_v), min(v_hi, best_pt[1] + half_v))
 
     value = sign * best
-    if mode == obj.mode:
-        paper_value: Fraction | None = obj.target
-        gap: float | None = abs(value - float(obj.target))
-    else:
-        paper_value, gap = None, None
+    tabulated = mode == obj.mode
     return OptResult(mode=mode, value=value, argpoint=best_pt,
-                     paper_value=paper_value, gap=gap)
+                     paper_value=obj.target if tabulated else None,
+                     gap=abs(value - float(obj.target)) if tabulated else None)

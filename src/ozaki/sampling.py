@@ -153,8 +153,9 @@ def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBa
     counts[:, 1] = np.where(is_mix, counts[:, 1], 0)
     r2[near, 0, :] = _NEAR_RADIUS_SQ + (1.0 - _NEAR_RADIUS_SQ) * r2[near, 0, :]
     # only the first count zeros of a product are read; the others stay 0.
-    # One flat index list serves the gathers and the scatter.
-    idx = np.flatnonzero(np.arange(k) < counts[:, :, None])
+    # One flat index list serves the gathers and the scatter; its mask is
+    # built one slot at a time, in long passes over the (n, 2) counts.
+    idx = np.flatnonzero(np.stack([counts > j for j in range(k)], axis=-1))
     zeros = np.zeros((n, 2, k), dtype=np.complex128)
     zeros.put(idx, np.sqrt(r2.take(idx)) * np.exp(1j * ang.take(idx)))
     return _BlaschkeBatch(theta=theta, zeros=zeros, counts=counts,

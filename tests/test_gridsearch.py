@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ozaki.gridsearch import OptResult, grid_extremize
+from ozaki.gridsearch import OptResult, _row_maxima, grid_extremize
 from ozaki.objectives import OBJECTIVES, DomainKind, ObjectiveId
 
 # modest resolution here; the acceptance suite runs the full 2000/3 setting
@@ -184,3 +184,47 @@ def test_row_reduction_equals_dense_grid(oid, mode, resolution, refine_iters):
 def test_row_reduction_equals_dense_grid_at_default_setting(oid):
     mode = OBJECTIVES[oid].mode
     assert grid_extremize(oid) == _dense_extremize(oid, mode, 2000, 3)
+
+
+# windows (u0, u1, v0, v1) per region; on the parabolic region they hold
+# rows whose in-domain run is empty (the whole of the second window) and
+# rows with a one-column run
+_ROW_WINDOWS = {
+    DomainKind.PARABOLIC: [(0.0, 1.0, 0.0, 1.0), (0.9, 1.0, 0.25, 0.5),
+                           (0.85, 0.95, 0.15, 1.0), (0.8, 0.9, 0.19, 0.5),
+                           (0.95, 1.0, 0.0, 0.1)],
+    DomainKind.BOX: [(0.0, 2.0, 0.0, 1.0), (1.9, 2.0, 0.9, 1.0),
+                     (0.0, 0.1, 0.0, 0.05), (1.5, 2.0, 0.2, 0.7)],
+}
+
+
+def _brute_row_maxima(obj, sign, uu, vv):
+    """Every grid point of every row; first argmax per row, and the length
+    of each row's in-domain run."""
+    inside = obj.domain.contains(uu[:, None], vv[None, :])
+    vals = np.where(inside, sign * obj.fn(uu[:, None], vv[None, :]), -np.inf)
+    cols = np.argmax(vals, axis=1)
+    return vals[np.arange(len(uu)), cols], cols, inside.sum(axis=1)
+
+
+@pytest.mark.parametrize("resolution", [100, 101, 257])
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("oid", list(ObjectiveId))
+def test_row_maxima_equal_brute_force_per_row(oid, mode, resolution):
+    """The candidates need no sort: on every row, empty and one-column runs
+    included, the value is bitwise the row's maximum over all its grid
+    points and the column is that maximum's first index."""
+    obj = OBJECTIVES[oid]
+    sign = 1.0 if mode == "max" else -1.0
+    runs = []
+    for u0, u1, v0, v1 in _ROW_WINDOWS[obj.domain.kind]:
+        uu = np.linspace(u0, u1, resolution)
+        vv = np.linspace(v0, v1, resolution)
+        vals, cols = _row_maxima(obj, sign, uu, vv)
+        want_vals, want_cols, run = _brute_row_maxima(obj, sign, uu, vv)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert np.array_equal(cols, want_cols)
+        runs.append(run)
+    if obj.domain.kind is DomainKind.PARABOLIC:
+        runs = np.concatenate(runs)
+        assert np.any(runs == 0) and np.any(runs == 1)

@@ -21,7 +21,8 @@ a float change.
 
 The families are ``sample`` (F and G at 10^5 members, 8 seeds, JSON and CSV),
 ``sample-flags`` (the sampler's options and sizes around its chunk and tile
-boundaries), ``verify``, ``optimize``, ``extremal`` (with
+boundaries), ``verify``, ``optimize`` (``all`` in both formats, and each
+objective alone at two resolutions), ``extremal`` (with
 ``report --extremal``), ``member`` (single-member commands and usage errors)
 and ``scalar`` (the 505 commands of five ``perfbench`` scalar blocks at
 seed 7).
@@ -81,6 +82,11 @@ def _optimize():
         yield "optimize", "--objective", "all", "--format", fmt
     yield ("optimize", "--objective", "UpsilonF", "--resolution", "200",
            "--refine", "0")
+    from ozaki.objectives import ObjectiveId
+    for objective in ObjectiveId:
+        for resolution, refine in (("257", "2"), ("101", "4")):
+            yield ("optimize", "--objective", objective.value,
+                   "--resolution", resolution, "--refine", refine)
 
 
 def _extremal():
