@@ -8,10 +8,8 @@ from .series import (TruncatedSeries, NormalizedFunction, SeriesError,
                      ExpOfNonZeroConstant, LogOfNonUnitConstant,
                      PowOfNonUnitConstant, NotNormalized)
 from .classes import (ClassLabel, SchwarzCoeffs, CaratheodoryCoeffs,
-                      LiberaParams, BlaschkeSpec, OzakiFunction,
-                      ZeroOutsideDisk, UnknownExtremalName,
-                      schwarz_from_blaschke, caratheodory_from_schwarz,
-                      libera_expand, build_member,
+                      OzakiFunction, UnknownExtremalName,
+                      caratheodory_from_schwarz, build_member,
                       build_member_from_caratheodory, extremal_member,
                       coeffs_from_caratheodory_direct,
                       coeffs_from_schwarz_direct, EXTREMAL_NAMES)

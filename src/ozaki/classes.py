@@ -9,9 +9,10 @@ from a Schwarz function w through
 
 with p = (1 + w)/(1 - w) in the Caratheodory class.  This module constructs
 members from Schwarz or Caratheodory data by solving that differential
-equation on truncated series.  Closed forms of a2..a4 serve the sampler and
-cross-check the solve.  The four classical extremal functions are built by
-the solve, from w = z (f1 in F, g1 in G) and w = z^2 (f2, g2).
+equation on the coefficient kernels of :mod:`ozaki.series`; a member holds
+its coefficients a0..aN as a tuple.  Closed forms of a2..a4 serve the
+sampler and cross-check the solve.  The four classical extremal functions
+are built by the solve, from w = z (f1 in F, g1 in G) and w = z^2 (f2, g2).
 """
 
 from __future__ import annotations
@@ -22,21 +23,16 @@ from functools import cache
 
 import numpy as np
 
-from .series import NormalizedFunction, TruncatedSeries, antiderivative, div, exp
+from .series import antiderivative, div, exp
 
 __all__ = [
     "ClassLabel",
     "SchwarzCoeffs",
     "CaratheodoryCoeffs",
-    "LiberaParams",
-    "BlaschkeSpec",
     "OzakiFunction",
-    "ZeroOutsideDisk",
     "UnknownExtremalName",
-    "schwarz_from_blaschke",
     "blaschke_product",
     "caratheodory_from_schwarz",
-    "libera_expand",
     "build_member",
     "build_member_from_caratheodory",
     "caratheodory_array",
@@ -51,10 +47,6 @@ __all__ = [
 class ClassLabel(Enum):
     F = "F"
     G = "G"
-
-
-class ZeroOutsideDisk(ValueError):
-    """A Blaschke zero lies on or outside the unit circle."""
 
 
 class UnknownExtremalName(ValueError):
@@ -127,76 +119,27 @@ class CaratheodoryCoeffs:
         return np.array((1.0,) + self.prefix(order), dtype=np.complex128)
 
 
-_UNIT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LiberaParams:
-    """Parameters (p1, xi, eta, gamma) of the Caratheodory coefficient
-    representation: p1 in [0, 2] and xi, eta, gamma in the closed unit disk.
-    The derived quantity t = 4 - p1^2 lies in [0, 4]."""
-
-    p1: float
-    xi: complex
-    eta: complex
-    gamma: complex
-
-    def __post_init__(self):
-        if not 0.0 <= self.p1 <= 2.0:
-            raise ValueError(f"p1 must lie in [0, 2], got {self.p1}")
-        for name in ("xi", "eta", "gamma"):
-            if abs(getattr(self, name)) > 1.0 + _UNIT_TOL:
-                raise ValueError(f"|{name}| must be <= 1, got {getattr(self, name)}")
-
-    @property
-    def t(self) -> float:
-        return 4.0 - self.p1 * self.p1
-
-
-@dataclass(frozen=True)
-class BlaschkeSpec:
-    """z times a finite Blaschke product, optionally a convex mixture of two.
-
-    w(z) = z * e^(i*rotation) * prod_k (a_k - z)/(1 - conj(a_k) z) is a
-    Schwarz function for any zeros a_k inside the open unit disk; so is a
-    convex combination of two such products.  ``mixture_weight`` is the
-    weight of this product; ``second`` carries the rest.
-    """
-
-    rotation: float
-    zeros: tuple[complex, ...] = ()
-    second: "BlaschkeSpec | None" = None
-    mixture_weight: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "zeros", tuple(complex(a) for a in self.zeros))
-        for a in self.zeros:
-            if abs(a) >= 1.0:
-                raise ZeroOutsideDisk(f"Blaschke zero {a} has |a| >= 1")
-        if not 0.0 <= self.mixture_weight <= 1.0:
-            raise ValueError(f"mixture weight {self.mixture_weight} not in [0, 1]")
-        if self.second is None and self.mixture_weight != 1.0:
-            raise ValueError("mixture weight without a second product")
-
-
 @dataclass(frozen=True)
 class OzakiFunction:
-    """A constructed member of class F or G with its generating data."""
+    """A constructed member of class F or G: its coefficients a0..aN, with
+    a0 = 0, a1 = 1 and N >= 4, and its generating data."""
 
     label: ClassLabel
-    f: NormalizedFunction
+    coeffs: tuple[complex, ...]
     provenance: SchwarzCoeffs | CaratheodoryCoeffs | str
 
     def __post_init__(self):
-        if self.f.order < 4:
+        if len(self.coeffs) < 5:
             raise ValueError("class members are carried to order >= 4")
+        if self.coeffs[0] != 0 or self.coeffs[1] != 1:
+            raise ValueError("a member needs a0 = 0 and a1 = 1 exactly")
 
     @property
     def order(self) -> int:
-        return self.f.order
+        return len(self.coeffs) - 1
 
     def coeff(self, n: int) -> complex:
-        return self.f.coeff(n)
+        return self.coeffs[n]
 
 
 def blaschke_product(rotation, zeros: np.ndarray, count, length: int) -> np.ndarray:
@@ -220,21 +163,6 @@ def blaschke_product(rotation, zeros: np.ndarray, count, length: int) -> np.ndar
     return b * np.exp(1j * rotation)
 
 
-def schwarz_from_blaschke(spec: BlaschkeSpec, order: int) -> SchwarzCoeffs:
-    """Coefficients c1..c_order of the Schwarz function described by ``spec``."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-
-    def product(s: BlaschkeSpec) -> np.ndarray:
-        zeros = np.array(s.zeros, dtype=np.complex128)
-        return blaschke_product(s.rotation, zeros, zeros.size, order)
-
-    w = spec.mixture_weight * product(spec)
-    if spec.second is not None:
-        w = w + (1.0 - spec.mixture_weight) * product(spec.second)
-    return SchwarzCoeffs(tuple(w))
-
-
 def caratheodory_array(w: np.ndarray) -> np.ndarray:
     """Coefficients of p = (1 + w)/(1 - w) from those of w, coefficient-major."""
     plus, minus = w.copy(), -w
@@ -248,30 +176,6 @@ def caratheodory_from_schwarz(c: SchwarzCoeffs, order: int) -> CaratheodoryCoeff
     w = c1 z + ... + cN z^N; all of them are checked as given data."""
     p = caratheodory_array(c.array(order))
     return CaratheodoryCoeffs(tuple(p[1:]))
-
-
-def libera_expand(params: LiberaParams) -> CaratheodoryCoeffs:
-    """(p1, p2, p3, p4) from the coefficient representation of class P:
-
-        2 p2 = p1^2 + t xi
-        4 p3 = p1^3 + 2 p1 t xi - p1 t xi^2 + 2 t (1-|xi|^2) eta
-        8 p4 = p1^4 + 3 p1^2 t xi + (4 - 3 p1^2) t xi^2 + p1^2 t xi^3
-               + 4 t (1-|xi|^2)(1-|eta|^2) gamma
-               + 4 t (1-|xi|^2)(p1 eta - p1 xi eta - conj(xi) eta^2)
-
-    with t = 4 - p1^2 and xi, eta, gamma in the closed unit disk.
-    """
-    p1 = complex(params.p1)
-    xi, eta, gam = params.xi, params.eta, params.gamma
-    t = complex(params.t)
-    xi2 = 1.0 - abs(xi) ** 2
-    eta2 = 1.0 - abs(eta) ** 2
-    p2 = (p1 ** 2 + t * xi) / 2.0
-    p3 = (p1 ** 3 + 2.0 * p1 * t * xi - p1 * t * xi ** 2 + 2.0 * t * xi2 * eta) / 4.0
-    p4 = (p1 ** 4 + 3.0 * p1 ** 2 * t * xi + (4.0 - 3.0 * p1 ** 2) * t * xi ** 2
-          + p1 ** 2 * t * xi ** 3 + 4.0 * t * xi2 * eta2 * gam
-          + 4.0 * t * xi2 * (p1 * eta - p1 * xi * eta - np.conj(xi) * eta ** 2)) / 8.0
-    return CaratheodoryCoeffs((p1, p2, p3, p4))
 
 
 def solve_member(label: ClassLabel, p: np.ndarray) -> np.ndarray:
@@ -290,8 +194,8 @@ def build_member_from_caratheodory(label: ClassLabel, p: CaratheodoryCoeffs,
     """Solve the defining differential equation from Caratheodory data."""
     if order < 4:
         raise ValueError("order must be >= 4")
-    f = TruncatedSeries(solve_member(label, p.array(order)))
-    return OzakiFunction(label, NormalizedFunction(f), p)
+    f = solve_member(label, p.array(order))
+    return OzakiFunction(label, tuple(f.tolist()), p)
 
 
 def build_member(label: ClassLabel, w: SchwarzCoeffs, order: int) -> OzakiFunction:
@@ -302,8 +206,8 @@ def build_member(label: ClassLabel, w: SchwarzCoeffs, order: int) -> OzakiFuncti
     given = max(len(w.c), _CHECKED_PREFIX)
     p = caratheodory_array(w.array(max(order, given)))
     _require_caratheodory_prefix(p[1: given + 1])
-    f = TruncatedSeries(solve_member(label, p[: order + 1]))
-    return OzakiFunction(label, NormalizedFunction(f), w)
+    f = solve_member(label, p[: order + 1])
+    return OzakiFunction(label, tuple(f.tolist()), w)
 
 
 # name: (class, Schwarz function) of the four extremal members
@@ -320,7 +224,7 @@ EXTREMAL_NAMES = tuple(_EXTREMALS)
 def _extremal_coeffs(name: str, order: int) -> tuple[complex, ...]:
     """Coefficients 0..order of a witness, checked and solved once."""
     label, w = _EXTREMALS[name]
-    return tuple(build_member(label, w, order).f.series.coeffs.tolist())
+    return build_member(label, w, order).coeffs
 
 
 def extremal_member(name: str, order: int) -> OzakiFunction:
@@ -328,12 +232,11 @@ def extremal_member(name: str, order: int) -> OzakiFunction:
     (f1 in F, g1 in G) and w = z^2 (f2 in F, g2 in G):
 
     f1' = (1-z)^-3, f2' = (1-z^2)^(-3/2), g1' = 1-z, g2' = (1-z^2)^(1/2).
-    Each call returns a new member with its own coefficient array.
+    Calls share the cached coefficient tuple, which cannot be written.
     """
     if name not in _EXTREMALS:
         raise UnknownExtremalName(f"unknown extremal {name!r}")
-    f = TruncatedSeries(_extremal_coeffs(name, order))
-    return OzakiFunction(_EXTREMALS[name][0], NormalizedFunction(f), name)
+    return OzakiFunction(_EXTREMALS[name][0], _extremal_coeffs(name, order), name)
 
 
 def coeffs_from_schwarz_direct(label: ClassLabel, c1, c2, c3):

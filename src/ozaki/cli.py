@@ -239,7 +239,6 @@ def _build_parser() -> _Parser:
     p = add("sample", "randomized bound-violation search")
     p.add_argument("--class", dest="label", choices=("F", "G"), required=True)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--order", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-zeros", type=int, default=3)
     p.add_argument("--no-extremals", action="store_true",
@@ -276,7 +275,7 @@ def _payload_extremal(args) -> _Payload:
         "name": args.name,
         "label": member.label.value,
         "order": member.order,
-        "coefficients": [_num(c) for c in member.f.series.coeffs],
+        "coefficients": [_num(c) for c in member.coeffs],
     }
     return payload, "ok", None
 
@@ -318,7 +317,7 @@ def _payload_coeffs(args) -> _Payload:
         "a4": _num(member.coeff(4)),
         "direct_formula": {"a2": _num(direct[0]), "a3": _num(direct[1]),
                            "a4": _num(direct[2])},
-        "series": [_num(c) for c in member.f.series.coeffs],
+        "series": [_num(c) for c in member.coeffs],
     }
     return payload, "ok", None
 
@@ -397,8 +396,7 @@ def _payload_optimize(args) -> _Payload:
 
 def _payload_sample(args) -> _Payload:
     cfg = SampleConfig(label=ClassLabel(args.label), count=args.samples,
-                       order=args.order, seed=args.seed,
-                       blaschke_max_zeros=args.max_zeros,
+                       seed=args.seed, blaschke_max_zeros=args.max_zeros,
                        include_extremals=not args.no_extremals,
                        violation_tolerance=args.tol)
     report = sample_and_check(cfg)
@@ -424,7 +422,6 @@ def _payload_sample(args) -> _Payload:
     payload = {
         "label": args.label,
         "count": cfg.count,
-        "order": cfg.order,
         "max_zeros": cfg.blaschke_max_zeros,
         "include_extremals": cfg.include_extremals,
         "tolerance": cfg.violation_tolerance,

@@ -38,7 +38,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .classes import OzakiFunction
-from .series import NormalizedFunction
 
 __all__ = [
     "CoeffTriple",
@@ -69,7 +68,8 @@ class CoeffTriple(NamedTuple):
     a4: complex
 
     @classmethod
-    def from_function(cls, f: NormalizedFunction) -> "CoeffTriple":
+    def from_function(cls, f: OzakiFunction) -> "CoeffTriple":
+        """a2..a4 of a function that has ``order`` and ``coeff(n)``."""
         if f.order < FUNCTIONAL_ORDER:
             raise ValueError("need coefficients up to a4, so order >= 4")
         return cls(f.coeff(2), f.coeff(3), f.coeff(4))
@@ -203,14 +203,15 @@ def inverse_crosscheck(f: np.ndarray, report: FunctionalReport) -> float:
     return worst
 
 
-def full_report(fn: OzakiFunction | NormalizedFunction) -> FunctionalReport:
-    """Evaluate every functional on one function.
+def full_report(fn: OzakiFunction) -> FunctionalReport:
+    """Evaluate every functional on one function, read through
+    ``CoeffTriple.from_function``.
 
     The inverse-coefficient formulas are cross-checked by composition, as in
     ``inverse_crosscheck``; a residual beyond ``INVERSE_CROSSCHECK_TOL``
     raises :class:`InverseSeriesMismatch`.
     """
-    f = fn.f if isinstance(fn, OzakiFunction) else fn
-    report = evaluate(CoeffTriple.from_function(f))
-    inverse_crosscheck(f.series.coeffs, report)
+    t = CoeffTriple.from_function(fn)
+    report = evaluate(t)
+    inverse_crosscheck((0, 1, *t), report)
     return report

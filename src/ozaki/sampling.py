@@ -23,8 +23,6 @@ the cache.  Every block, a tile or the order-4 columns of the witnesses that
 the class's bounds name, is checked by ``_check_members`` through
 ``evaluate``, ``inverse_crosscheck`` and ``FUNCTIONAL_VALUES`` of
 :mod:`ozaki.functionals`; ``_merge`` combines the blocks exactly.
-``SampleConfig.order`` is validated and reported but does not change sampled
-results.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ STAT_NAMES = tuple(FUNCTIONAL_VALUES)
 class SampleConfig:
     label: ClassLabel
     count: int
-    order: int = 8
     seed: int = 0
     blaschke_max_zeros: int = 3
     include_extremals: bool = True
@@ -72,8 +69,6 @@ class SampleConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.order < 8:
-            raise ValueError("order must be >= 8")
         if self.blaschke_max_zeros < 0:
             raise ValueError("blaschke_max_zeros must be >= 0")
         if not 0 < self.violation_tolerance < math.inf:   # NaN fails too
@@ -177,21 +172,6 @@ def _schwarz_coeffs(batch: _BlaschkeBatch, order: int) -> np.ndarray:
     return w
 
 
-def spec_from_batch(batch: _BlaschkeBatch, i: int):
-    """Materialize member i of a batch as a BlaschkeSpec (for reproduction)."""
-    from .classes import BlaschkeSpec
-
-    def one(slot: int) -> "BlaschkeSpec":
-        count = int(batch.counts[i, slot])
-        return BlaschkeSpec(rotation=float(batch.theta[i, slot]),
-                            zeros=tuple(batch.zeros[i, slot, :count]))
-    first = one(0)
-    if not batch.is_mix[i]:
-        return first
-    return BlaschkeSpec(rotation=first.rotation, zeros=first.zeros,
-                        second=one(1), mixture_weight=float(batch.weight[i]))
-
-
 # ----------------------------------------------------------------------
 # chunked execution and merging
 
@@ -272,7 +252,7 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
             seeds, sizes) for tile in chunk]
     if cfg.include_extremals:
         witnesses = sorted({chk.witness for _, chk in sides})
-        block = np.stack([extremal_member(name, FUNCTIONAL_ORDER).f.series.coeffs
+        block = np.stack([extremal_member(name, FUNCTIONAL_ORDER).coeffs
                           for name in witnesses], axis=1)
         blocks.append(_check_members(block, sides, tol))
 

@@ -7,14 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ozaki.classes import (BlaschkeSpec, CaratheodoryCoeffs, ClassLabel,
-                           LiberaParams, SchwarzCoeffs, UnknownExtremalName,
-                           ZeroOutsideDisk, blaschke_product, build_member,
+from blaschke_oracle import (BlaschkeSpec, LiberaParams, ZeroOutsideDisk,
+                             libera_expand, schwarz_from_blaschke)
+from ozaki.classes import (CaratheodoryCoeffs, ClassLabel, OzakiFunction,
+                           SchwarzCoeffs, UnknownExtremalName,
+                           blaschke_product, build_member,
                            build_member_from_caratheodory, caratheodory_array,
                            caratheodory_from_schwarz,
                            coeffs_from_caratheodory_direct,
                            coeffs_from_schwarz_direct, extremal_member,
-                           libera_expand, schwarz_from_blaschke, solve_member)
+                           solve_member)
+from ozaki.series import TruncatedSeries
 from test_series import binomial_pow_oracle
 
 F, G = ClassLabel.F, ClassLabel.G
@@ -218,7 +221,7 @@ def test_libera_params_validated():
 
 def test_build_f_member_from_w_equals_z():
     m = build_member(F, SchwarzCoeffs((1.0,)), 8)
-    np.testing.assert_allclose(m.f.series.coeffs[:5], [0, 1, 1.5, 2, 2.5],
+    np.testing.assert_allclose(m.coeffs[:5], [0, 1, 1.5, 2, 2.5],
                                atol=1e-14)
 
 
@@ -226,12 +229,12 @@ def test_build_g_member_from_w_equals_z():
     m = build_member(G, SchwarzCoeffs((1.0,)), 8)
     want = np.zeros(9)
     want[1], want[2] = 1.0, -0.5
-    np.testing.assert_allclose(m.f.series.coeffs, want, atol=1e-14)
+    np.testing.assert_allclose(m.coeffs, want, atol=1e-14)
 
 
 def test_build_g_member_from_w_equals_z_squared():
     m = build_member(G, SchwarzCoeffs((0.0, 1.0)), 8)
-    np.testing.assert_allclose(m.f.series.coeffs[:6],
+    np.testing.assert_allclose(m.coeffs[:6],
                                [0, 1, 0, -1 / 6, 0, -1 / 40], atol=1e-14)
 
 
@@ -243,6 +246,10 @@ def test_build_member_rejects_invalid_prefix():
 def test_build_member_rejects_small_order():
     with pytest.raises(ValueError):
         build_member(F, SchwarzCoeffs((0.5,)), 3)
+    # a member checks its own coefficients too: N >= 4, a0 = 0, a1 = 1
+    for coeffs in ((0, 1, 0, 0), (1e-300, 1, 0, 0, 0), (0, 1 + 1e-16j, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            OzakiFunction(F, coeffs, "data")
 
 
 def test_build_from_caratheodory_matches_schwarz_route():
@@ -250,7 +257,7 @@ def test_build_from_caratheodory_matches_schwarz_route():
     p = caratheodory_from_schwarz(w, 8)
     m1 = build_member(F, w, 8)
     m2 = build_member_from_caratheodory(F, p, 8)
-    np.testing.assert_allclose(m1.f.series.coeffs, m2.f.series.coeffs, atol=1e-15)
+    np.testing.assert_allclose(m1.coeffs, m2.coeffs, atol=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -259,24 +266,24 @@ def test_build_from_caratheodory_matches_schwarz_route():
 def test_extremal_f1():
     m = extremal_member("f1", 4)
     assert m.label is F
-    np.testing.assert_allclose(m.f.series.coeffs, [0, 1, 1.5, 2, 2.5], atol=0)
+    np.testing.assert_allclose(m.coeffs, [0, 1, 1.5, 2, 2.5], atol=0)
 
 
 def test_extremal_f2():
     m = extremal_member("f2", 5)
-    np.testing.assert_allclose(m.f.series.coeffs, [0, 1, 0, 0.5, 0, 0.375], atol=0)
+    np.testing.assert_allclose(m.coeffs, [0, 1, 0, 0.5, 0, 0.375], atol=0)
 
 
 def test_extremal_g1():
     m = extremal_member("g1", 6)
     want = np.zeros(7)
     want[1], want[2] = 1.0, -0.5
-    np.testing.assert_allclose(m.f.series.coeffs, want, atol=0)
+    np.testing.assert_allclose(m.coeffs, want, atol=0)
 
 
 def test_extremal_g2():
     m = extremal_member("g2", 5)
-    np.testing.assert_allclose(m.f.series.coeffs,
+    np.testing.assert_allclose(m.coeffs,
                                [0, 1, 0, -1 / 6, 0, -1 / 40], atol=1e-16)
 
 
@@ -288,13 +295,13 @@ def test_extremals_match_ode_construction():
     cases = {"f1": (F, (1.0,), -3.0, False), "f2": (F, (0.0, 1.0), -1.5, True),
              "g1": (G, (1.0,), 1.0, False), "g2": (G, (0.0, 1.0), 0.5, True)}
     for name, (label, c, alpha, square) in cases.items():
-        ode = build_member(label, SchwarzCoeffs(c), order).f.series.coeffs
+        ode = build_member(label, SchwarzCoeffs(c), order).coeffs
         fprime = binomial_pow_oracle(alpha, order - 1, square)
         closed = np.concatenate(([0.0], fprime / np.arange(1, order + 1)))
         np.testing.assert_allclose(ode, closed, atol=1e-13, rtol=0)
         witness = extremal_member(name, order)
         assert witness.label is label and witness.provenance == name
-        np.testing.assert_array_equal(witness.f.series.coeffs, ode)
+        np.testing.assert_array_equal(witness.coeffs, ode)
 
 
 # name: (class, Schwarz data, alpha, step) with f' = (1 - z^step)^alpha
@@ -322,21 +329,20 @@ def test_member_solve_reproduces_witnesses_exactly(name):
 
 
 def test_extremal_member_is_cached_but_never_shared():
-    """A witness is solved once per (name, order), yet every call returns
-    its own member: bitwise the member solve, and unchanged by writes into an
-    earlier call's coefficients."""
+    """A witness is solved once per (name, order); every call gets the
+    cached coefficients as a tuple, which no caller can write, bitwise equal
+    to the member solve."""
     data = {"f1": (F, (1,)), "f2": (F, (0, 1)), "g1": (G, (1,)), "g2": (G, (0, 1))}
     for order in (4, 8, 25):
         for name, (label, c) in data.items():
-            solved = build_member(label, SchwarzCoeffs(c), order).f.series.coeffs
-            first = extremal_member(name, order)
-            assert first.label is label and first.provenance == name
-            assert first.f.series.coeffs.tobytes() == solved.tobytes()
-            scribbled = first.f.series.coeffs
-            scribbled.setflags(write=True)
-            scribbled[:] = 7.0
-            again = extremal_member(name, order)
-            assert again.f.series.coeffs.tobytes() == solved.tobytes()
+            solved = build_member(label, SchwarzCoeffs(c), order).coeffs
+            first, again = extremal_member(name, order), extremal_member(name, order)
+            assert first.coeffs is again.coeffs
+            for m in (first, again):
+                assert m.label is label and m.provenance == name
+                assert type(m.coeffs) is tuple
+                assert (np.array(m.coeffs).tobytes()
+                        == np.array(solved).tobytes())
 
 
 def test_unknown_extremal_rejected():
@@ -392,7 +398,7 @@ def test_three_routes_agree_on_random_members():
         p = caratheodory_from_schwarz(w, 8)
         for label in (F, G):
             built = build_member(label, w, 8)
-            triple_ode = tuple(built.f.series.coeffs[2:5])
+            triple_ode = tuple(built.coeffs[2:5])
             triple_c = coeffs_from_caratheodory_direct(label, p)
             triple_s = coeffs_from_schwarz_direct(label, *w.prefix(3))
             np.testing.assert_allclose(triple_ode, triple_c, atol=1e-12)
@@ -418,7 +424,7 @@ def test_membership_on_circle():
             spec = BlaschkeSpec(rotation=rng.uniform(0, 2 * np.pi), zeros=zeros)
             w = schwarz_from_blaschke(spec, order)
             m = build_member(label, w, order)
-            f = m.f.series
+            f = TruncatedSeries(m.coeffs)
             ratio = f.derivative().derivative() / f.derivative()
             curv = np.zeros(order, dtype=complex)      # 1 + z f''/f'
             curv[0] = 1.0

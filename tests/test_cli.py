@@ -272,13 +272,12 @@ def test_repeat_same_command_byte_identical():
     assert run(argv) == run(argv)
 
 
-def test_sample_order_does_not_change_results():
-    base = ("sample", "--class", "F", "--samples", "20000", "--seed", "3")
-    envs = [invoke(*base, "--order", order) for order in ("8", "12")]
-    assert [env["payload"].pop("order") for _, env in envs] == [8, 12]
-    for _, env in envs:
-        del env["command_echo"]
-    assert envs[0] == envs[1]
+def test_sample_rejects_order_option(capsys):
+    """Sampled members read only a2..a4, so sample takes no --order."""
+    assert main(["sample", "--class", "F", "--samples", "10", "--order", "12"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "ozaki: unrecognized arguments: --order 12\n"
 
 
 def test_subprocess_determinism_and_thread_invariance():

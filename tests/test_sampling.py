@@ -7,17 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ozaki.classes import (BlaschkeSpec, ClassLabel, SchwarzCoeffs,
-                           blaschke_product, build_member, caratheodory_array,
-                           schwarz_from_blaschke, solve_member)
+from blaschke_oracle import BlaschkeSpec, schwarz_from_blaschke, spec_from_batch
+from ozaki.classes import (ClassLabel, SchwarzCoeffs, blaschke_product,
+                           build_member, caratheodory_array, solve_member)
 from ozaki.cli import run
 from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
                                full_report, inverse_crosscheck)
 from ozaki.ledger import LEDGER, check_extremals, entries_for
 from ozaki.sampling import (_CHUNK, _TILE, STAT_NAMES, SampleConfig,
                             _check_chunk, _check_members, _draw_batch, _members,
-                            _merge, _schwarz_coeffs, sample_and_check,
-                            spec_from_batch)
+                            _merge, _schwarz_coeffs, sample_and_check)
 
 F, G = ClassLabel.F, ClassLabel.G
 
@@ -88,7 +87,7 @@ def test_batch_rows_match_scalar_path():
             ws = schwarz_from_blaschke(spec, 8)
             np.testing.assert_allclose(np.asarray(ws.c), w[1:, i], atol=1e-13)
             m = build_member(label, ws, 8)
-            np.testing.assert_allclose(m.f.series.coeffs, f[:, i], atol=1e-12)
+            np.testing.assert_allclose(m.coeffs, f[:, i], atol=1e-12)
             r = full_report(m)
             assert values["T21_log"][i] == pytest.approx(r.T21_log, abs=1e-12)
             assert values["Gamma3_abs"][i] == pytest.approx(abs(r.Gamma3), abs=1e-12)
@@ -229,13 +228,11 @@ def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(F, 0)
     with pytest.raises(ValueError):
-        SampleConfig(F, 10, order=4)
-    with pytest.raises(ValueError):
         SampleConfig(F, 10, violation_tolerance=0.0)
 
 
 def test_sample_class_g_is_clean():
-    rep = sample_and_check(SampleConfig(G, 20000, order=8, seed=9))
+    rep = sample_and_check(SampleConfig(G, 20000, seed=9))
     assert rep.ok
     assert rep.total_violations == 0
     assert rep.worst_margin <= 1e-9
@@ -246,35 +243,35 @@ def test_sample_class_g_is_clean():
 
 
 def test_sample_report_stats_structure():
-    rep = sample_and_check(SampleConfig(G, 2000, order=8, seed=1))
+    rep = sample_and_check(SampleConfig(G, 2000, seed=1))
     assert tuple(name for name, _, _ in rep.stats) == STAT_NAMES
     for name, lo, hi in rep.stats:
         assert lo <= hi
 
 
 def test_sample_seed_reproducibility():
-    a = sample_and_check(SampleConfig(G, 5000, order=8, seed=77))
-    b = sample_and_check(SampleConfig(G, 5000, order=8, seed=77))
+    a = sample_and_check(SampleConfig(G, 5000, seed=77))
+    b = sample_and_check(SampleConfig(G, 5000, seed=77))
     assert a == b
-    c = sample_and_check(SampleConfig(G, 5000, order=8, seed=78))
+    c = sample_and_check(SampleConfig(G, 5000, seed=78))
     assert c != a
 
 
 def test_sample_thread_count_does_not_change_results(monkeypatch):
-    base = sample_and_check(SampleConfig(G, 40000, order=8, seed=5))
+    base = sample_and_check(SampleConfig(G, 40000, seed=5))
     monkeypatch.setenv("OZAKI_THREADS", "4")
-    threaded = sample_and_check(SampleConfig(G, 40000, order=8, seed=5))
+    threaded = sample_and_check(SampleConfig(G, 40000, seed=5))
     assert base == threaded
 
 
 def test_sample_zero_free_products_only():
-    rep = sample_and_check(SampleConfig(G, 1000, order=8, seed=3,
+    rep = sample_and_check(SampleConfig(G, 1000, seed=3,
                                         blaschke_max_zeros=0))
     assert rep.ok
 
 
 def test_sample_without_extremals():
-    rep = sample_and_check(SampleConfig(G, 2000, order=8, seed=2,
+    rep = sample_and_check(SampleConfig(G, 2000, seed=2,
                                         include_extremals=False))
     assert not rep.config.include_extremals
     assert rep.ok
@@ -333,7 +330,7 @@ def test_toeplitz_upper_bound_counterexample():
 def test_sample_class_f_detects_toeplitz_overshoot():
     """With the near-boundary sampler bias, class F draws land in the region
     where T21 exceeds 95/256, so the harness must report violations."""
-    rep = sample_and_check(SampleConfig(F, 100000, order=8, seed=42))
+    rep = sample_and_check(SampleConfig(F, 100000, seed=42))
     assert not rep.ok
     by = {(c.functional, c.side): c for c in rep.checks}
     over = by[("T21_log", "upper")]

@@ -438,17 +438,19 @@ def test_series_kernels_live_only_in_series_module():
 
 
 def test_members_are_built_only_by_the_member_solve():
-    """The modules that build, check and report members call no
-    TruncatedSeries arithmetic, so every single member, the extremal
-    witnesses included, comes from solve_member and no second construction
-    returns.  Sampled chunks read a2..a4 from the direct Schwarz formulas."""
+    """The modules that build, check and report members neither name the
+    series classes nor call their arithmetic: a member is its coefficient
+    tuple, and every single member, the extremal witnesses included, comes
+    from solve_member, so no second construction returns.  Sampled chunks
+    read a2..a4 from the direct Schwarz formulas."""
     series_call = re.compile(r"(\w*)\.(?:pow|log|exp|compose)\(")
+    series_class = re.compile(r"\b(?:TruncatedSeries|NormalizedFunction)\b")
     numeric = {"np", "numpy", "math", "cmath"}
     package = Path(kernels.__file__).parent
     offenders = [f"{name}.py:{number}"
                  for name in ("classes", "functionals", "sampling", "ledger", "cli")
                  for number, line in enumerate(
                      (package / f"{name}.py").read_text().splitlines(), 1)
-                 if any(m.group(1) not in numeric
-                        for m in series_call.finditer(line))]
-    assert not offenders, f"series arithmetic in the engine: {offenders}"
+                 if series_class.search(line)
+                 or any(m.group(1) not in numeric for m in series_call.finditer(line))]
+    assert not offenders, f"series classes or arithmetic in the engine: {offenders}"
