@@ -2,15 +2,15 @@
 
 A function f in class F satisfies Re(1 + z f''/f') > -1/2 on the unit disk,
 and one in class G satisfies Re(1 + z f''/f') < 3/2.  Every member arises
-from a Schwarz function w through
+from a Schwarz function w through one equation at its two ends,
 
-    1 + z f''/f' = (3 p(z) - 1) / 2     (class F)
-    1 + z f''/f' = (3 - p(z)) / 2       (class G)
+    1 + z f''/f' = 1 + kappa (p(z) - 1),   kappa = 3/2 (F) or -1/2 (G),
 
-with p = (1 + w)/(1 - w) in the Caratheodory class.  This module constructs
-members from Schwarz or Caratheodory data by solving that differential
-equation on the coefficient kernels of :mod:`ozaki.series`; a member holds
-its coefficients a0..aN as a tuple.  Closed forms of a2..a4 serve the
+with p = (1 + w)/(1 - w) in the Caratheodory class.  Every formula reads the
+class as the integer m = 2 kappa of ``ClassLabel.m``, which keeps it exact on
+fractions and cheap on arrays.  This module constructs members by solving
+that equation on the kernels of :mod:`ozaki.series`; a member holds its
+coefficients a0..aN as a tuple.  Closed forms of a2..a4 serve the
 sampler and cross-check the solve.  The four classical extremal functions
 are built by the solve, from w = z (f1 in F, g1 in G) and w = z^2 (f2, g2).
 """
@@ -47,6 +47,11 @@ __all__ = [
 class ClassLabel(Enum):
     F = "F"
     G = "G"
+
+    @property
+    def m(self) -> int:
+        """2 kappa: 3 for F, -1 for G, the one number the formulas read."""
+        return 3 if self is ClassLabel.F else -1
 
 
 class UnknownExtremalName(ValueError):
@@ -180,12 +185,10 @@ def caratheodory_from_schwarz(c: SchwarzCoeffs, order: int) -> CaratheodoryCoeff
 
 def solve_member(label: ClassLabel, p: np.ndarray) -> np.ndarray:
     """Coefficients of the member whose Caratheodory function has the
-    coefficients p (coefficient-major, p[0] = 1), to the length of p.
-
-    With q(z) = f''/f' = 3(p(z)-1)/(2z) for F or (1-p(z))/(2z) for G,
-    f' = exp(int q) and f is the antiderivative of f'.
+    coefficients p (coefficient-major, p[0] = 1), to the length of p:
+    f = int exp(int q) with q(z) = f''/f' = m (p(z) - 1)/(2z).
     """
-    q = (1.5 if label is ClassLabel.F else -0.5) * p[1:]   # orders 0..len-2
+    q = label.m / 2 * p[1:]   # orders 0..len-2
     return antiderivative(exp(antiderivative(q)))[: p.shape[0]]
 
 
@@ -241,15 +244,13 @@ def extremal_member(name: str, order: int) -> OzakiFunction:
 
 def coeffs_from_schwarz_direct(label: ClassLabel, c1, c2, c3):
     """Initial coefficients (a2, a3, a4) straight from the Schwarz
-    coefficients c1, c2, c3, given as scalars or as arrays of one shape."""
-    if label is ClassLabel.F:
-        a2 = 3 * c1 / 2
-        a3 = (4 * c1 ** 2 + c2) / 2
-        a4 = (20 * c1 ** 3 + 13 * c1 * c2 + 2 * c3) / 8
-    else:
-        a2 = -c1 / 2
-        a3 = -c2 / 6
-        a4 = -(c1 * c2 + 2 * c3) / 24
+    coefficients c1, c2, c3, scalars or arrays of one shape: the Caratheodory
+    formulas at p1 = 2c1, p2 = 2c2 + 2c1^2 and p3 = 2c3 + 4c1c2 + 2c1^3."""
+    m = label.m
+    a2 = m * c1 / 2
+    a3 = (m * c2 + m * (1 + m) * c1 ** 2) / 6
+    a4 = (2 * m * c3 + m * (4 + 3 * m) * c1 * c2
+          + m * (1 + m) * (2 + m) * c1 ** 3) / 24
     return a2, a3, a4
 
 
@@ -257,12 +258,8 @@ def coeffs_from_caratheodory_direct(label: ClassLabel, p: CaratheodoryCoeffs,
                                     ) -> tuple[complex, complex, complex]:
     """Initial coefficients (a2, a3, a4) straight from Caratheodory data."""
     p1, p2, p3 = p.prefix(3)
-    if label is ClassLabel.F:
-        a2 = 3 * p1 / 4
-        a3 = (3 * p1 ** 2 + 2 * p2) / 8
-        a4 = (9 * p1 ** 3 + 18 * p1 * p2 + 8 * p3) / 64
-    else:
-        a2 = -p1 / 4
-        a3 = (p1 ** 2 - 2 * p2) / 24
-        a4 = (-p1 ** 3 + 6 * p1 * p2 - 8 * p3) / 192
+    m = label.m
+    a2 = m * p1 / 4
+    a3 = (2 * m * p2 + m * m * p1 ** 2) / 24
+    a4 = (8 * m * p3 + 6 * m * m * p1 * p2 + m ** 3 * p1 ** 3) / 192
     return a2, a3, a4

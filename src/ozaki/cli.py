@@ -220,12 +220,10 @@ def _build_parser() -> _Parser:
     src.add_argument("--extremal", choices=EXTREMAL_NAMES)
     src.add_argument("--schwarz")
     src.add_argument("--caratheodory")
-    p.add_argument("--order", type=int, default=8)
     add_format(p)
 
     p = add("verify", "sharpness of every ledger bound at its witness")
     p.add_argument("--class", dest="label", choices=("F", "G", "all"), default="all")
-    p.add_argument("--order", type=int, default=8)
     p.add_argument("--tol", type=float, default=_VERIFY_TOL)
     add_format(p)
 
@@ -323,10 +321,9 @@ def _payload_coeffs(args) -> _Payload:
 
 
 def _payload_report(args) -> _Payload:
-    # full_report reads a2..a4, which the prefix-stable solve gives at any order
-    member, src = _member_from_args(args, min(args.order, FUNCTIONAL_ORDER))
+    member, src = _member_from_args(args, FUNCTIONAL_ORDER)
     r = full_report(member)
-    payload = {"label": member.label.value, **src, "order": args.order}
+    payload = {"label": member.label.value, **src}
     payload.update((name, _num(getattr(r, name))) for name in _REPORT_FIELDS)
     return payload, "ok", None
 
@@ -335,7 +332,7 @@ def _payload_verify(args) -> _Payload:
     if not 0.0 <= args.tol < math.inf:   # NaN fails too
         raise _UsageError(f"--tol must be a finite tolerance >= 0, got {args.tol}")
     labels = None if args.label == "all" else (ClassLabel(args.label),)
-    rows = check_extremals(labels=labels, order=args.order)
+    rows = check_extremals(labels=labels)
     entries = [{
         "label": label.value,
         "functional": functional,
@@ -353,7 +350,6 @@ def _payload_verify(args) -> _Payload:
         rows, key=lambda r: (r.label, r.functional, r.kind))]
     failures = sum(not c["ok"] for e in entries for c in e["checks"])
     payload = {
-        "order": args.order,
         "tolerance": args.tol,
         "entry_count": len(entries),
         "entries": entries,

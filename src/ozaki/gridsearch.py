@@ -51,8 +51,8 @@ class OptResult:
     mode: str
     value: float
     argpoint: tuple[float, float]
-    paper_value: Fraction | None
-    gap: float | None
+    paper_value: Fraction
+    gap: float
 
 
 def _curved_edge(domain: DomainSpec, win: tuple[float, float, float, float],
@@ -106,26 +106,10 @@ def _row_maxima(obj: Objective, sign: float, uu: np.ndarray,
     return vals[k, rows], cols[k, rows]
 
 
-def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
-                   resolution: int = 2000, refine_iters: int = 3) -> OptResult:
-    """Extremize one objective by nested grid search.
-
-    ``mode`` defaults to the objective's tabulated direction; the paper's
-    tabulated extremum and the gap to it are only reported for that
-    direction.
-    """
-    obj: Objective = OBJECTIVES[objective_id]
-    if mode is None:
-        mode = obj.mode
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    if resolution < 100:
-        raise ValueError("resolution must be >= 100")
-    if refine_iters < 0:
-        raise ValueError("refine_iters must be >= 0")
-
+def _nested_search(obj: Objective, sign: float, resolution: int,
+                   refine_iters: int) -> tuple[float, tuple[float, float]]:
+    """Value and point of the search: a maximum at sign 1, a minimum at -1."""
     (u_lo, u_hi), (v_lo, v_hi) = obj.domain.bounds()
-    sign = 1.0 if mode == "max" else -1.0
     best = -np.inf
     best_pt = (u_lo, v_lo)
     win = (u_lo, u_hi, v_lo, v_hi)
@@ -156,9 +140,19 @@ def grid_extremize(objective_id: ObjectiveId, mode: str | None = None,
             break
         win = (max(u_lo, best_pt[0] - half_u), min(u_hi, best_pt[0] + half_u),
                max(v_lo, best_pt[1] - half_v), min(v_hi, best_pt[1] + half_v))
+    return sign * best, best_pt
 
-    value = sign * best
-    tabulated = mode == obj.mode
-    return OptResult(mode=mode, value=value, argpoint=best_pt,
-                     paper_value=obj.target if tabulated else None,
-                     gap=abs(value - float(obj.target)) if tabulated else None)
+
+def grid_extremize(objective_id: ObjectiveId, resolution: int = 2000,
+                   refine_iters: int = 3) -> OptResult:
+    """Extremize one objective by nested grid search in the direction of its
+    tabulated extremum, and report the gap to that extremum."""
+    obj: Objective = OBJECTIVES[objective_id]
+    if resolution < 100:
+        raise ValueError("resolution must be >= 100")
+    if refine_iters < 0:
+        raise ValueError("refine_iters must be >= 0")
+    value, point = _nested_search(obj, 1.0 if obj.mode == "max" else -1.0,
+                                  resolution, refine_iters)
+    return OptResult(mode=obj.mode, value=value, argpoint=point,
+                     paper_value=obj.target, gap=abs(value - float(obj.target)))

@@ -3,9 +3,10 @@
 Thirteen entries, one per bounded functional and class; the two-sided
 Toeplitz bounds count once with a lower and an upper side.  Bounds are kept
 as exact rationals and only converted to floats at comparison time.
-``check_extremals`` evaluates every witness from ``extremal_member`` and reports
-the signed residual (computed functional minus bound), which must vanish to
-near machine precision when the bounds are sharp.
+``check_extremals`` evaluates every witness from ``extremal_member``, at the
+``FUNCTIONAL_ORDER`` the sampler's witnesses share, and reports the signed
+residual (computed functional minus bound), which must vanish to near
+machine precision when the bounds are sharp.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import ClassLabel, extremal_member
-from .functionals import FUNCTIONAL_VALUES, FunctionalReport, full_report
+from .functionals import (FUNCTIONAL_ORDER, FUNCTIONAL_VALUES, FunctionalReport,
+                          full_report)
 
 __all__ = [
     "BoundCheck",
@@ -94,8 +96,8 @@ class ExtremalCheck:
     residual: float      # computed - bound, signed
 
 
-def check_extremals(labels: tuple[ClassLabel, ...] | None = None,
-                    order: int = 8) -> list[ExtremalCheck]:
+def check_extremals(labels: tuple[ClassLabel, ...] | None = None
+                    ) -> list[ExtremalCheck]:
     """Rebuild each witness and compare its functional against the bound."""
     wanted = LEDGER if labels is None else tuple(
         e for e in LEDGER if e.label in labels)
@@ -105,7 +107,7 @@ def check_extremals(labels: tuple[ClassLabel, ...] | None = None,
         for chk in entry.checks:
             if chk.witness not in reports:
                 reports[chk.witness] = full_report(
-                    extremal_member(chk.witness, order))
+                    extremal_member(chk.witness, FUNCTIONAL_ORDER))
             computed = float(FUNCTIONAL_VALUES[entry.functional](
                 reports[chk.witness]))
             results.append(ExtremalCheck(

@@ -6,13 +6,13 @@ Omega = [0,2] x [0,1] in the variables (p, x) = (p1, |xi|), and the
 remaining bounds live on the parabolic region
 Lambda = {(u, v): 0 <= u <= 1, 0 <= v <= 1 - u^2} in (u, v) = (|c1|, |c2|).
 
-The eight objectives are two formulas with different integer coefficients.
-The Toeplitz family ``_toeplitz(a, b, den)`` gives UpsilonF, PsiF, PhiG and
-NG, so that PsiF(p, x) = UpsilonF(p, -x) and NG(p, x) = PhiG(p, -x); the
-parabolic family ``_parabolic(a, b, e, den, c, d)`` gives ChiF, MF, SG and
-DeltaG.  Each objective carries the paper's tabulated extremum as an exact
-rational for gap reporting.  For UpsilonF that value, 95/256, is below the
-true maximum 45/121, attained at p^2 = 464/121 on the x = 1 edge.
+The eight objectives are two formulas.  ``_toeplitz(label, sign)`` gives
+UpsilonF, PsiF, PhiG and NG from the class's m = 2 kappa, with PsiF(p, x) =
+UpsilonF(p, -x) and NG(p, x) = PhiG(p, -x); ``_parabolic`` gives ChiF, MF,
+SG and DeltaG, four functionals with their own integer coefficients.
+Each objective carries the paper's tabulated extremum as an exact rational
+for gap reporting.  For UpsilonF that value, 95/256, is below the true
+maximum 45/121, attained at p^2 = 464/121 on the x = 1 edge.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
+
+from .classes import ClassLabel
 
 __all__ = [
     "ObjectiveId",
@@ -76,8 +78,12 @@ BOX = DomainSpec(DomainKind.BOX)
 PARABOLIC = DomainSpec(DomainKind.PARABOLIC)
 
 
-def _toeplitz(a, b, den):
-    """(-a p^4 + 576 p^2 + b p^2 t x - 16 t^2 x^2)/den with t = 4 - p^2."""
+def _toeplitz(label: ClassLabel, sign: int):
+    """(-a p^4 + 576 p^2 + b p^2 t x - 16 t^2 x^2)/den with t = 4 - p^2, a =
+    (4+m)^2, b = 8 sign (4+m), den = 36864/m^2: (49, +-56, 4096) for F and
+    (9, +-24, 36864) for G."""
+    m = label.m
+    a, b, den = (4 + m) ** 2, sign * 8 * (4 + m), 36864 // m ** 2
     def fn(p, x):
         t = 4 - p * p
         return (-a * p ** 4 + 576 * p ** 2 + b * p ** 2 * t * x
@@ -108,13 +114,13 @@ class Objective:
 
 
 OBJECTIVES: dict[ObjectiveId, Objective] = {
-    ObjectiveId.UPSILON_F: Objective(BOX, _toeplitz(49, 56, 4096), "max",
+    ObjectiveId.UPSILON_F: Objective(BOX, _toeplitz(ClassLabel.F, 1), "max",
                                      Fraction(95, 256)),
-    ObjectiveId.PSI_F: Objective(BOX, _toeplitz(49, -56, 4096), "min",
+    ObjectiveId.PSI_F: Objective(BOX, _toeplitz(ClassLabel.F, -1), "min",
                                  Fraction(-1, 16)),
-    ObjectiveId.PHI_G: Objective(BOX, _toeplitz(9, 24, 36864), "max",
+    ObjectiveId.PHI_G: Objective(BOX, _toeplitz(ClassLabel.G, 1), "max",
                                  Fraction(15, 256)),
-    ObjectiveId.N_G: Objective(BOX, _toeplitz(9, -24, 36864), "min",
+    ObjectiveId.N_G: Objective(BOX, _toeplitz(ClassLabel.G, -1), "min",
                                Fraction(-1, 144)),
     ObjectiveId.CHI_F: Objective(PARABOLIC, _parabolic(42, 33, 6, 48), "max",
                                  Fraction(7, 8)),

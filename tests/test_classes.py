@@ -1,14 +1,19 @@
 """Construction of class F and G members and their coefficient formulas."""
 
+import ast
 import cmath
+import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from blaschke_oracle import (BlaschkeSpec, LiberaParams, ZeroOutsideDisk,
                              libera_expand, schwarz_from_blaschke)
+from ozaki import classes
 from ozaki.classes import (CaratheodoryCoeffs, ClassLabel, OzakiFunction,
                            SchwarzCoeffs, UnknownExtremalName,
                            blaschke_product, build_member,
@@ -385,6 +390,69 @@ def test_direct_schwarz_formulas_on_arrays_match_scalar_calls():
         for i in range(c.shape[1]):
             scalar = coeffs_from_schwarz_direct(label, *(complex(v) for v in c[:, i]))
             np.testing.assert_allclose(columns[:, i], scalar, rtol=0, atol=1e-15)
+
+
+def _schwarz_branches(label, c1, c2, c3):
+    """The closed forms as they were written per class before ClassLabel.m."""
+    if label is ClassLabel.F:
+        return (3 * c1 / 2, (4 * c1 ** 2 + c2) / 2,
+                (20 * c1 ** 3 + 13 * c1 * c2 + 2 * c3) / 8)
+    return -c1 / 2, -c2 / 6, -(c1 * c2 + 2 * c3) / 24
+
+
+def _caratheodory_branches(label, p1, p2, p3):
+    if label is ClassLabel.F:
+        return (3 * p1 / 4, (3 * p1 ** 2 + 2 * p2) / 8,
+                (9 * p1 ** 3 + 18 * p1 * p2 + 8 * p3) / 64)
+    return -p1 / 4, (p1 ** 2 - 2 * p2) / 24, (-p1 ** 3 + 6 * p1 * p2 - 8 * p3) / 192
+
+
+def test_m_formulas_equal_the_per_class_branches_exactly():
+    """On random rationals the formulas in m = 2 kappa give the old per-class
+    closed forms exactly, as fractions.  The Caratheodory data go in through a
+    stand-in with a prefix(), since CaratheodoryCoeffs holds complex numbers."""
+    rng = random.Random(27)
+    for _ in range(200):
+        data = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+                     for _ in range(3))
+        for label in (F, G):
+            got = coeffs_from_schwarz_direct(label, *data)
+            assert got == _schwarz_branches(label, *data)
+            assert all(type(a) is Fraction for a in got)
+            got = coeffs_from_caratheodory_direct(
+                label, SimpleNamespace(prefix=lambda k, data=data: data[:k]))
+            assert got == _caratheodory_branches(label, *data)
+            assert all(type(a) is Fraction for a in got)
+
+
+def _is_class_constant(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr in ("F", "G")
+            and isinstance(node.value, ast.Name) and node.value.id == "ClassLabel")
+
+
+def _class_branches(node, function: str):
+    """(function, line) of each comparison with ClassLabel.F or ClassLabel.G,
+    each dict keyed by one and each match case on one."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    tested = ([node.left, *node.comparators] if isinstance(node, ast.Compare)
+              else node.keys if isinstance(node, ast.Dict)
+              else [node.value] if isinstance(node, ast.MatchValue) else [])
+    if any(_is_class_constant(n) for n in tested):
+        yield function, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _class_branches(child, function)
+
+
+def test_only_class_label_m_tells_the_classes_apart():
+    """No module of the package branches on F or G: the class enters every
+    formula as the integer ClassLabel.m, whose definition holds the one
+    comparison."""
+    package = Path(classes.__file__).parent
+    found = [(path.name, function)
+             for path in sorted(package.glob("*.py"))
+             for function, _ in _class_branches(ast.parse(path.read_text()), "")]
+    assert found == [("classes.py", "m")]
 
 
 def test_three_routes_agree_on_random_members():

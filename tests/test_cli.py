@@ -328,20 +328,18 @@ def test_member_with_tiny_a2_is_accepted(data, capsys):
     assert json.loads(out.out)["payload"]["T21_log"] == 0
 
 
-@pytest.mark.parametrize("data", [
-    ("--class", "G", "--schwarz", "0.3:0.1,-0.2,0.05"),
-    ("--class", "F", "--caratheodory", "0.5:0.2,-0.1"),
-    ("--extremal", "g2"),
+@pytest.mark.parametrize("argv", [
+    ("report", "--class", "G", "--schwarz", "0.3:0.1,-0.2,0.05", "--order", "8"),
+    ("report", "--extremal", "g2", "--order", "40"),
+    ("verify", "--class", "F", "--order", "12"),
 ])
-def test_report_values_do_not_depend_on_order(data):
-    """report echoes --order but reads only a2..a4, which do not change with
-    the order the member is carried to."""
-    payloads = []
-    for order in (4, 8, 40):
-        code, env = invoke("report", *data, "--order", str(order))
-        assert code == 0 and env["payload"].pop("order") == order
-        payloads.append(env["payload"])
-    assert payloads[0] == payloads[1] == payloads[2]
+def test_report_and_verify_reject_order_option(argv, capsys):
+    """report and verify read only a2..a4, which do not depend on the order a
+    member is carried to, so they take no --order."""
+    assert main(list(argv)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"ozaki: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
 def test_report_rejects_class_conflicting_with_extremal(capsys):
@@ -379,7 +377,7 @@ def test_non_member_input_exits_one(argv, capsys):
     ("report", "--class", "G", "--caratheodory", "0:0,2:0,0:0"),
     # c1..c3 of the Schwarz function z(0.5 - z)/(1 - 0.5z), at any order
     ("report", "--class", "F", "--schwarz", "0.5,-0.75,-0.375"),
-    ("report", "--class", "G", "--schwarz", "0.5,-0.75,-0.375", "--order", "12"),
+    ("report", "--class", "G", "--schwarz", "0.5,-0.75,-0.375"),
 ])
 def test_boundary_caratheodory_prefix_accepted(argv, capsys):
     assert main(list(argv)) == 0
@@ -446,10 +444,9 @@ REPORT_FIELDS = ["a2", "a3", "a4", "A2", "A3", "A4", "gamma1", "gamma2",
 def test_report_payload_key_order():
     assert [f.name for f in dataclasses.fields(FunctionalReport)] == REPORT_FIELDS
     _, env = invoke("report", "--class", "G", "--schwarz", "0.3:0.1,0.2")
-    assert list(env["payload"]) == ["label", "source", "input", "order",
-                                    *REPORT_FIELDS]
+    assert list(env["payload"]) == ["label", "source", "input", *REPORT_FIELDS]
     _, env = invoke("report", "--extremal", "f2")
-    assert list(env["payload"]) == ["label", "extremal", "order", *REPORT_FIELDS]
+    assert list(env["payload"]) == ["label", "extremal", *REPORT_FIELDS]
 
 
 @pytest.mark.parametrize("label, count", [("all", 13), ("F", 7), ("G", 6)])
@@ -493,7 +490,7 @@ PARSE_CORPUS = [
     ("report", "--extremal", "f2"),
     ("report", "--class", "F", "--sch", "0.3:0.1,0.2"),
     ("report", "--class=G", "--schwarz=-0.3:0.1,0.2"),
-    ("report", "--class", "F", "--schwarz", "-0.3:0.1", "--order", "12"),
+    ("report", "--class", "F", "--schwarz", "-0.3:0.1", "--format", "json"),
     ("report", "--cl", "G", "--ca", "-0.5:0.1"),
     ("verify", "--class", "G", "--tol", "1e-9"),
     ("optimize", "--objective", "NG", "--resolution", "40", "--refine", "0",
@@ -514,6 +511,7 @@ PARSE_CORPUS = [
     ("coeffs", "--schwarz", "0.1"),
     ("coeffs", "--class", "F", "--schwarz", "0.1", "--caratheodory", "0.1"),
     ("report", "--class", "F", "--schwarz", "0.1", "--order", "four"),
+    ("coeffs", "--class", "F", "--schwarz", "0.1", "--order", "four"),
     ("report", "--class", "F", "--c", "-0.5:0.1"),
     ("sample", "--class", "F", "--samples", "1.5"),
     ("verify", "--order"),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ozaki.gridsearch import OptResult, _row_maxima, grid_extremize
+from ozaki.gridsearch import _nested_search, _row_maxima, grid_extremize
 from ozaki.objectives import OBJECTIVES, DomainKind, ObjectiveId
 
 # modest resolution here; the acceptance suite runs the full 2000/3 setting
@@ -69,13 +69,6 @@ def test_deterministic():
     assert a == b
 
 
-def test_opposite_mode_has_no_reference_value():
-    res = grid_extremize(ObjectiveId.CHI_F, mode="min", resolution=150,
-                         refine_iters=1)
-    assert res.paper_value is None and res.gap is None
-    assert res.value == pytest.approx(0.0, abs=1e-6)  # chi(0, 1) = 0
-
-
 @pytest.mark.parametrize("oid", list(ObjectiveId))
 def test_refinement_past_window_collapse(oid):
     """After about 16 rounds the window is one point wide in v, and past 308
@@ -97,9 +90,11 @@ def test_refinement_past_window_collapse(oid):
 @pytest.mark.parametrize("oid", list(ObjectiveId))
 def test_refinement_stops_once_window_is_below_float_step(oid, mode):
     """Rounds past the window's collapse below one float step are not run;
-    running them had not changed any result, so refine 400 equals refine 20."""
-    assert (grid_extremize(oid, mode=mode, refine_iters=400)
-            == grid_extremize(oid, mode=mode, refine_iters=20))
+    running them had not changed any result, so refine 400 equals refine 20,
+    in either direction of the search."""
+    obj, sign = OBJECTIVES[oid], 1.0 if mode == "max" else -1.0
+    assert (_nested_search(obj, sign, 2000, 400)
+            == _nested_search(obj, sign, 2000, 20))
 
 
 def test_parameter_validation():
@@ -107,8 +102,6 @@ def test_parameter_validation():
         grid_extremize(ObjectiveId.CHI_F, resolution=50)
     with pytest.raises(ValueError):
         grid_extremize(ObjectiveId.CHI_F, refine_iters=-1)
-    with pytest.raises(ValueError):
-        grid_extremize(ObjectiveId.CHI_F, mode="extremize")
 
 
 def _boundary_segments(domain, win, n):
@@ -164,11 +157,7 @@ def _dense_extremize(oid, mode, resolution, refine_iters):
         hv = (v_hi - v_lo) / 10.0 ** (r + 1) / 2.0
         win = (max(u_lo, best_pt[0] - hu), min(u_hi, best_pt[0] + hu),
                max(v_lo, best_pt[1] - hv), min(v_hi, best_pt[1] + hv))
-    value = sign * best
-    tabulated = mode == obj.mode
-    return OptResult(mode, value, best_pt,
-                     obj.target if tabulated else None,
-                     abs(value - float(obj.target)) if tabulated else None)
+    return sign * best, best_pt
 
 
 @pytest.mark.parametrize("resolution, refine_iters",
@@ -176,14 +165,21 @@ def _dense_extremize(oid, mode, resolution, refine_iters):
 @pytest.mark.parametrize("mode", ["max", "min"])
 @pytest.mark.parametrize("oid", list(ObjectiveId))
 def test_row_reduction_equals_dense_grid(oid, mode, resolution, refine_iters):
-    assert (grid_extremize(oid, mode, resolution, refine_iters)
-            == _dense_extremize(oid, mode, resolution, refine_iters))
+    """The nested search equals the dense reference in both directions, and
+    grid_extremize is the search in the tabulated one."""
+    obj, sign = OBJECTIVES[oid], 1.0 if mode == "max" else -1.0
+    found = _nested_search(obj, sign, resolution, refine_iters)
+    assert found == _dense_extremize(oid, mode, resolution, refine_iters)
+    if mode == obj.mode:
+        res = grid_extremize(oid, resolution, refine_iters)
+        assert (res.value, res.argpoint) == found
 
 
 @pytest.mark.parametrize("oid", [ObjectiveId.UPSILON_F, ObjectiveId.M_F])
 def test_row_reduction_equals_dense_grid_at_default_setting(oid):
-    mode = OBJECTIVES[oid].mode
-    assert grid_extremize(oid) == _dense_extremize(oid, mode, 2000, 3)
+    res = grid_extremize(oid)
+    assert ((res.value, res.argpoint)
+            == _dense_extremize(oid, OBJECTIVES[oid].mode, 2000, 3))
 
 
 # windows (u0, u1, v0, v1) per region; on the parabolic region they hold

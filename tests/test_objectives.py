@@ -5,12 +5,14 @@ Horner in p^2 where possible) and compared against the package's version on
 random in-domain points.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ozaki.classes import ClassLabel
 from ozaki.ledger import LEDGER
-from ozaki.objectives import BOX, OBJECTIVES, PARABOLIC, ObjectiveId
+from ozaki.objectives import BOX, OBJECTIVES, PARABOLIC, ObjectiveId, _toeplitz
 
 
 # independent second transcriptions
@@ -191,3 +193,34 @@ def test_target_repeats_its_ledger_side(oid):
     obj = OBJECTIVES[oid]
     assert obj.mode == {"upper": "max", "lower": "min"}[side]
     assert obj.target == bounds[0]
+
+
+_TOEPLITZ_INTEGERS = {   # (a, b, den) of each Toeplitz objective
+    ObjectiveId.UPSILON_F: (ClassLabel.F, 1, (49, 56, 4096)),
+    ObjectiveId.PSI_F: (ClassLabel.F, -1, (49, -56, 4096)),
+    ObjectiveId.PHI_G: (ClassLabel.G, 1, (9, 24, 36864)),
+    ObjectiveId.N_G: (ClassLabel.G, -1, (9, -24, 36864)),
+}
+
+
+@pytest.mark.parametrize("oid", list(_TOEPLITZ_INTEGERS))
+def test_toeplitz_integers_come_from_m(oid):
+    """_toeplitz(label, sign) builds a = (4+m)^2, b = 8 sign (4+m) and
+    den = 36864/m^2 as the integers (49, +-56, 4096) for F and (9, +-24, 36864)
+    for G: exactly on fractions, where 6 x 4 points fix the polynomial, and
+    bit for bit on floats."""
+    label, sign, (a, b, den) = _TOEPLITZ_INTEGERS[oid]
+
+    def literal(p, x):
+        t = 4 - p * p
+        return (-a * p ** 4 + 576 * p ** 2 + b * p ** 2 * t * x
+                - 16 * t ** 2 * x ** 2) / den
+
+    for fn in (_toeplitz(label, sign), OBJECTIVES[oid].fn):
+        for p in (Fraction(k, 3) for k in range(6)):
+            for x in (Fraction(k, 4) for k in range(4)):
+                assert fn(p, x) == literal(p, x)
+                assert type(fn(p, x)) is Fraction
+        rng = np.random.default_rng(5)
+        p, x = rng.uniform(0, 2, 500), rng.uniform(0, 1, 500)
+        assert fn(p, x).tobytes() == literal(p, x).tobytes()

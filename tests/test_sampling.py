@@ -55,7 +55,7 @@ def test_ledger_values():
 
 
 def test_extremal_checks_vanish():
-    rows = check_extremals(order=8)
+    rows = check_extremals()
     assert len(rows) == 15
     for row in rows:
         assert abs(row.residual) <= 1e-12, row
@@ -67,7 +67,7 @@ def test_extremal_checks_vanish():
 
 
 def test_extremal_checks_filter_by_class():
-    rows = check_extremals(labels=(G,), order=8)
+    rows = check_extremals(labels=(G,))
     assert {r.label for r in rows} == {G}
     assert len(rows) == 7
 

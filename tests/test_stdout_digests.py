@@ -61,3 +61,13 @@ def test_compare_with_itself_finds_nothing(capsys):
     tool = _load_tool()
     assert tool.compare(tool.ROOT, ["verify"]) == 0
     assert capsys.readouterr().out == "verify           6 commands, 0 differ\n"
+
+
+def test_objects_with_other_keys_are_walked_key_by_key():
+    """A key on one side only is reported by name, and a float change under
+    a shared key is still found."""
+    old = _json({"label": "F", "order": 8, "a2": 1.0})
+    new = _json({"label": "F", "a2": 1.5, "extra": [1]})
+    floats, other = _diff([0, old, ""], [0, new, ""])
+    assert other == ["payload.order: removed", "payload.extra: added"]
+    assert floats == {"payload.a2": (0.5, 0.5 / 1.5)}

@@ -14,10 +14,11 @@ With ``--compare``, the same commands run once in this checkout and once in
 the checkout at OTHER_ROOT (a ``git worktree`` of the parent, say), one
 subprocess each.  For every family it prints how many commands differ, each
 difference that is not a float change (exit code, stderr, a string, an
-integer such as a count, a key or a list length), and the largest absolute
-and relative float change per JSON path (list indices collapsed to ``[]``)
-and per CSV cell (first column, header).  It exits 1 if any difference is not
-a float change.
+integer such as a count, a key added or removed, or a list length), and the
+largest absolute and relative float change per JSON path (list indices
+collapsed to ``[]``) and per CSV cell (first column, header).  Two objects
+are walked over their shared keys even where one has a key the other lacks.
+It exits 1 if any difference is not a float change.
 
 The families are ``sample`` (F and G at 10^5 members, 8 seeds, JSON and CSV),
 ``sample-flags`` (the sampler's options and sizes around its chunk and tile
@@ -214,10 +215,15 @@ def _tree_diff(path: str, a, b, floats: dict, other: list) -> None:
     """Walk two parsed JSON values side by side."""
     if _is_float_pair(a, b):
         _float_change(floats, path, a, b)
-    elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        for key in a:
-            _tree_diff(f"{path}.{key}" if path else key, a[key], b[key],
-                       floats, other)
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in {**a, **b}:   # a's keys in order, then those only in b
+            sub = f"{path}.{key}" if path else key
+            if key not in b:
+                other.append(f"{sub}: removed")
+            elif key not in a:
+                other.append(f"{sub}: added")
+            else:
+                _tree_diff(sub, a[key], b[key], floats, other)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for x, y in zip(a, b):
             _tree_diff(f"{path}[]", x, y, floats, other)
