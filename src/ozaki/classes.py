@@ -9,19 +9,21 @@ from a Schwarz function w through one equation at its two ends,
 with p = (1 + w)/(1 - w) in the Caratheodory class.  Every formula reads the
 class as the integer m = 2 kappa of ``ClassLabel.m``, which keeps it exact on
 fractions and cheap on arrays.  This module constructs members by solving
-that equation on the kernels of :mod:`ozaki.series`; a member holds its
-coefficients a0..aN as a tuple.  Closed forms of a2..a4 serve the
+that equation on the kernels of :mod:`ozaki.series`, on Python lists, so
+that building one needs no numpy; a member holds its coefficients a0..aN
+as a tuple.  Caratheodory data are checked by the Levinson-Durbin
+recursion, also on Python numbers.  Closed forms of a2..a4 serve the
 sampler and cross-check the solve.  The four classical extremal functions
 are built by the solve, from w = z (f1 in F, g1 in G) and w = z^2 (f2, g2).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-
-import numpy as np
+from operator import mul
 
 from .series import antiderivative, div, exp
 
@@ -31,7 +33,6 @@ __all__ = [
     "CaratheodoryCoeffs",
     "OzakiFunction",
     "UnknownExtremalName",
-    "blaschke_product",
     "caratheodory_from_schwarz",
     "build_member",
     "build_member_from_caratheodory",
@@ -71,34 +72,38 @@ class SchwarzCoeffs:
         """First k coefficients, zero-padded."""
         return tuple(self.c[i] if i < len(self.c) else 0.0 for i in range(k))
 
-    def array(self, order: int) -> np.ndarray:
-        """Coefficients 0..order of w (stored data treated as exact)."""
-        return np.array((0.0,) + self.prefix(order), dtype=np.complex128)
-
 
 _CARATHEODORY_TOL = 1e-9
 _CHECKED_PREFIX = 3   # a2, a3, a4 depend on p1, p2, p3
 
 
-@cache
-def _toeplitz_index(size: int) -> np.ndarray:
-    """|j - i| at (i, j): indexed by it, (2, p1, ...) gives p_(j-i) above the
-    diagonal, the only part that eigvalsh reads."""
-    return np.abs(np.arange(size)[:, None] - np.arange(size))
-
-
 def _require_caratheodory_prefix(p) -> None:
     """Raise ValueError unless (p1, ..., pN) extends to a Caratheodory
     function, that is (Caratheodory-Toeplitz) unless the Hermitian Toeplitz
-    matrix of (2, p1, ..., pN) is positive semidefinite."""
-    c = np.concatenate(([2.0], np.asarray(p, dtype=np.complex128)))
-    name = f"(p1, ..., p{c.size - 1}) fails the Caratheodory-Toeplitz criterion"
-    if not np.all(np.isfinite(c)):   # LAPACK does not converge on these
+    matrix T of (2, p1, ..., pN) is positive semidefinite; to the tolerance,
+    unless T + tol I is positive definite.
+
+    The Levinson-Durbin (Schur-Szego) recursion on (2 + tol, p1, ..., pN)
+    decides that on Python numbers: its prediction errors are the ratios of
+    consecutive leading minors of T + tol I, so all of them are > 0 exactly
+    when it is positive definite.  The message names the first leading
+    block that is not.
+    """
+    name = f"(p1, ..., p{len(p)}) fails the Caratheodory-Toeplitz criterion"
+    if not all(map(cmath.isfinite, p)):
         raise ValueError(f"{name}: it has a non-finite coefficient")
-    lowest = np.linalg.eigvalsh(c[_toeplitz_index(c.size)], UPLO="U")[0]
-    if not lowest >= -_CARATHEODORY_TOL:
-        raise ValueError(f"{name}: the Toeplitz matrix of (2, p1, ...) has "
-                         f"eigenvalue {lowest:.3g} < 0")
+    t = (2.0 + _CARATHEODORY_TOL, *p)
+    a: list[complex] = []   # predictor coefficients a1..a(k-1)
+    error = t[0]
+    for k in range(1, len(t)):
+        delta = t[k] + sum(map(mul, a, t[k - 1:0:-1]))   # a_i t_(k-i)
+        kappa = -delta / error
+        a = [x + kappa * y.conjugate() for x, y in zip(a, reversed(a))]
+        a.append(kappa)
+        error -= abs(delta) ** 2 / error   # error * (1 - |kappa|^2)
+        if not error > 0:
+            raise ValueError(f"{name}: the Toeplitz matrix of (2, p1, ..., "
+                             f"p{k}) is not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -119,15 +124,12 @@ class CaratheodoryCoeffs:
     def prefix(self, k: int) -> tuple[complex, ...]:
         return tuple(self.p[i] if i < len(self.p) else 0.0 for i in range(k))
 
-    def array(self, order: int) -> np.ndarray:
-        """Coefficients 0..order of p (stored data treated as exact)."""
-        return np.array((1.0,) + self.prefix(order), dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class OzakiFunction:
     """A constructed member of class F or G: its coefficients a0..aN, with
-    a0 = 0, a1 = 1 and N >= 4, and its generating data."""
+    a0 = 0, a1 = 1 and N >= 4, and its generating data.  It checks all three
+    itself; the builders leave the order to this check."""
 
     label: ClassLabel
     coeffs: tuple[complex, ...]
@@ -147,70 +149,43 @@ class OzakiFunction:
         return self.coeffs[n]
 
 
-def blaschke_product(rotation, zeros: np.ndarray, count, length: int) -> np.ndarray:
-    """Coefficients 0..length-1 of e^(i*rotation) * prod_k (a_k - z)/(1 - conj(a_k) z).
-
-    Coefficient-major like the series kernels: ``rotation`` and ``count``
-    have the batch shape and ``zeros`` has shape (K, *batch); only the first
-    ``count`` zeros of each product are used.  Each factor is applied in
-    place, times (a - z) and then divided by (1 - conj(a) z), which expands
-    it in closed form as a + (|a|^2 - 1) sum_t conj(a)^(t-1) z^t.
-    """
-    b = np.zeros((length,) + np.shape(rotation), dtype=np.complex128)
-    b[0] = 1.0
-    for j, a in enumerate(zeros):
-        abar = np.conj(a)
-        q = np.empty_like(b)
-        q[0] = a * b[0]
-        for t in range(1, length):
-            q[t] = a * b[t] - b[t - 1] + abar * q[t - 1]
-        b = np.where(j < count, q, b)
-    return b * np.exp(1j * rotation)
-
-
-def caratheodory_array(w: np.ndarray) -> np.ndarray:
-    """Coefficients of p = (1 + w)/(1 - w) from those of w, coefficient-major."""
-    plus, minus = w.copy(), -w
-    plus[0] += 1.0
-    minus[0] += 1.0
-    return div(plus, minus)
+def caratheodory_array(w: list) -> list:
+    """Coefficients of p = (1 + w)/(1 - w) from those of w, as lists of
+    rows: Python numbers for one series, numpy rows for a batch."""
+    return div([1.0 + w[0], *w[1:]], [1.0 - w[0], *(-c for c in w[1:])])
 
 
 def caratheodory_from_schwarz(c: SchwarzCoeffs, order: int) -> CaratheodoryCoeffs:
     """Coefficients p1..p_order of p = (1 + w)/(1 - w) for the polynomial
     w = c1 z + ... + cN z^N; all of them are checked as given data."""
-    p = caratheodory_array(c.array(order))
+    p = caratheodory_array([0.0, *c.prefix(order)])
     return CaratheodoryCoeffs(tuple(p[1:]))
 
 
-def solve_member(label: ClassLabel, p: np.ndarray) -> np.ndarray:
+def solve_member(label: ClassLabel, p: list) -> list:
     """Coefficients of the member whose Caratheodory function has the
-    coefficients p (coefficient-major, p[0] = 1), to the length of p:
-    f = int exp(int q) with q(z) = f''/f' = m (p(z) - 1)/(2z).
+    coefficients p (a list of rows as in ``caratheodory_array``, p[0] = 1),
+    to the length of p: f = int exp(int q) with q(z) = f''/f' = m (p(z) - 1)/(2z).
     """
-    q = label.m / 2 * p[1:]   # orders 0..len-2
-    return antiderivative(exp(antiderivative(q)))[: p.shape[0]]
+    q = [label.m / 2 * c for c in p[1:]]   # orders 0..len-2
+    return antiderivative(exp(antiderivative(q)))[: len(p)]
 
 
 def build_member_from_caratheodory(label: ClassLabel, p: CaratheodoryCoeffs,
                                    order: int) -> OzakiFunction:
     """Solve the defining differential equation from Caratheodory data."""
-    if order < 4:
-        raise ValueError("order must be >= 4")
-    f = solve_member(label, p.array(order))
-    return OzakiFunction(label, tuple(f.tolist()), p)
+    f = solve_member(label, [1.0, *p.prefix(order)])
+    return OzakiFunction(label, tuple(f), p)
 
 
 def build_member(label: ClassLabel, w: SchwarzCoeffs, order: int) -> OzakiFunction:
     """Class member generated by the Schwarz function w; the rule of
     :class:`CaratheodoryCoeffs` applies to the p1..pN that c1..cN determine."""
-    if order < 4:
-        raise ValueError("order must be >= 4")
     given = max(len(w.c), _CHECKED_PREFIX)
-    p = caratheodory_array(w.array(max(order, given)))
+    p = caratheodory_array([0.0, *w.prefix(max(order, given))])
     _require_caratheodory_prefix(p[1: given + 1])
-    f = solve_member(label, p[: order + 1])
-    return OzakiFunction(label, tuple(f.tolist()), w)
+    f = solve_member(label, p[: max(order + 1, 0)])   # no slice from the end
+    return OzakiFunction(label, tuple(f), w)
 
 
 # name: (class, Schwarz function) of the four extremal members

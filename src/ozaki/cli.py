@@ -12,7 +12,9 @@ Complex payload values are emitted as plain numbers when the imaginary part
 is zero, else as [re, im] pairs.  Field order is fixed, so repeating a
 command with the same seed yields byte-identical output.  The JSON text is
 written in one pass that appends its pieces to one list, joined once;
-strings are escaped to ASCII as ``json.dumps`` escapes them.
+strings are escaped to ASCII as ``json.dumps`` escapes them.  ``sample``
+and ``optimize`` import the sampler and the grid search, and with them
+numpy, when they run; the single-member commands need neither.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ from .classes import (CaratheodoryCoeffs, ClassLabel, SchwarzCoeffs,
                       coeffs_from_schwarz_direct, extremal_member,
                       EXTREMAL_NAMES)
 from .functionals import FUNCTIONAL_ORDER, FunctionalReport, full_report
-from .gridsearch import grid_extremize
 from .ledger import check_extremals
 from .objectives import OBJECTIVES, ObjectiveId
-from .sampling import SampleConfig, sample_and_check
 
 __all__ = ["main", "run", "emit"]
 
@@ -360,6 +360,7 @@ def _payload_verify(args) -> _Payload:
 
 
 def _payload_optimize(args) -> _Payload:
+    from .gridsearch import grid_extremize   # imports numpy, so only here
     if args.objective == "all":
         ids = list(OBJECTIVES)
     else:
@@ -391,6 +392,7 @@ def _payload_optimize(args) -> _Payload:
 
 
 def _payload_sample(args) -> _Payload:
+    from .sampling import SampleConfig, sample_and_check   # likewise
     cfg = SampleConfig(label=ClassLabel(args.label), count=args.samples,
                        seed=args.seed, blaschke_max_zeros=args.max_zeros,
                        include_extremals=not args.no_extremals,

@@ -32,10 +32,9 @@ three on one function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .classes import OzakiFunction
 
@@ -185,18 +184,24 @@ def _composition_terms(t: CoeffTriple, inv: tuple[complex, complex, complex]
             a4 + 3 * a3 * A2 + a2 * F2 + A4)
 
 
-def inverse_crosscheck(f: np.ndarray, report: FunctionalReport) -> float:
+def inverse_crosscheck(f, report: FunctionalReport) -> float:
     """Largest modulus of the w^2..w^4 coefficients of f(F(w)) - w, for f
-    with the coefficients f[:5] (coefficient-major, one function or a batch)
-    and F with the closed-form A2, A3, A4 of ``report``: zero exactly when F
-    inverts f, as a series inversion would check, at a few products.
+    with the coefficients f[:5] (one function as a tuple or list of Python
+    numbers, or a coefficient-major array) and F with the closed-form
+    A2, A3, A4 of ``report``: zero exactly when F inverts f, as a series
+    inversion would check, at a few products.
 
     Raises :class:`InverseSeriesMismatch` beyond ``INVERSE_CROSSCHECK_TOL``
     and on NaN.
     """
     terms = _composition_terms(CoeffTriple(f[2], f[3], f[4]),
                                (report.A2, report.A3, report.A4))
-    worst = float(np.max(np.abs(np.stack(terms))))   # NaN propagates
+    if isinstance(f, (tuple, list)):
+        moduli = [abs(t) for t in terms]   # max alone would pass over a NaN
+        worst = math.nan if any(map(math.isnan, moduli)) else max(moduli)
+    else:
+        import numpy as np   # f is an array, so numpy is loaded already
+        worst = float(np.max(np.abs(np.stack(terms))))   # NaN propagates
     if not worst <= INVERSE_CROSSCHECK_TOL:
         raise InverseSeriesMismatch(
             f"f(F(w)) - w deviates from zero by {worst}")

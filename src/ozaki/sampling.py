@@ -35,14 +35,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classes import (ClassLabel, blaschke_product, coeffs_from_schwarz_direct,
-                      extremal_member)
+from .classes import ClassLabel, coeffs_from_schwarz_direct, extremal_member
 from .functionals import (FUNCTIONAL_ORDER, FUNCTIONAL_VALUES, CoeffTriple,
                           evaluate, inverse_crosscheck)
 from .ledger import BoundCheck, entries_for
 
 __all__ = ["SampleConfig", "SampleCheck", "SampleReport", "sample_and_check",
-           "STAT_NAMES", "THREADS_ENV_VAR"]
+           "blaschke_product", "STAT_NAMES", "THREADS_ENV_VAR"]
 
 THREADS_ENV_VAR = "OZAKI_THREADS"
 _CHUNK = 16384   # members per child seed: the unit of seeding
@@ -108,6 +107,27 @@ class SampleReport:
 
 # ----------------------------------------------------------------------
 # batched Blaschke sampling
+
+def blaschke_product(rotation, zeros: np.ndarray, count, length: int) -> np.ndarray:
+    """Coefficients 0..length-1 of e^(i*rotation) * prod_k (a_k - z)/(1 - conj(a_k) z).
+
+    Coefficient-major like the series kernels: ``rotation`` and ``count``
+    have the batch shape and ``zeros`` has shape (K, *batch); only the first
+    ``count`` zeros of each product are used.  Each factor is applied in
+    place, times (a - z) and then divided by (1 - conj(a) z), which expands
+    it in closed form as a + (|a|^2 - 1) sum_t conj(a)^(t-1) z^t.
+    """
+    b = np.zeros((length,) + np.shape(rotation), dtype=np.complex128)
+    b[0] = 1.0
+    for j, a in enumerate(zeros):
+        abar = np.conj(a)
+        q = np.empty_like(b)
+        q[0] = a * b[0]
+        for t in range(1, length):
+            q[t] = a * b[t] - b[t - 1] + abar * q[t - 1]
+        b = np.where(j < count, q, b)
+    return b * np.exp(1j * rotation)
+
 
 @dataclass(frozen=True)
 class _BlaschkeBatch:

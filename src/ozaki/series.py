@@ -15,24 +15,29 @@ sufficient.  Structural preconditions (unit constant term, vanishing constant
 term) are tested with exact comparison: the constructors of this package
 produce those constants exactly.
 
-Beneath the class sit the array kernels :func:`mul`, :func:`div`,
-:func:`exp`, :func:`log`, :func:`antiderivative` and :func:`inverse`.  They
-are coefficient-major: axis 0 is the power of ``z`` and any trailing axes
-index a batch of series, so a 1-D array is one series and an array of shape
-``(order+1, n)`` holds n of them.  Each kernel is a plain recurrence over
-the rows of its input, with no reduction helper: Python complex numbers for
-one series (cheaper than numpy calls at small orders, slower beyond about 40
-coefficients) and numpy rows for a batch.  Each returns as many coefficients
-as its input has and checks no precondition; the :class:`TruncatedSeries`
-methods that wrap the kernels do.
+Beneath the class sit the kernels :func:`mul`, :func:`div`, :func:`exp`,
+:func:`log`, :func:`antiderivative` and :func:`inverse`.  They are
+coefficient-major: index 0 is the power of ``z``.  Each takes a list or a
+numpy array and returns the same kind.  A list holds one series as Python
+complex numbers, which is how the engine solves one member, without numpy;
+a list of numpy rows is a batch.  An array's trailing axes index a batch of
+series, so an array of shape ``(order+1, n)`` holds n of them and a 1-D
+array is one; only this path, and the class layer above, import numpy.
+Each kernel is a plain recurrence over the rows of its input, with no
+reduction helper: Python complex numbers for one series (cheaper than numpy
+calls at small orders, slower beyond about 40 coefficients) and numpy rows
+for a batch.  Each returns as many coefficients as its input has and checks
+no precondition; the :class:`TruncatedSeries` methods that wrap the kernels
+do.
 """
 
 from __future__ import annotations
 
 from numbers import Complex
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TruncatedSeries",
@@ -82,27 +87,34 @@ class NotNormalized(SeriesError):
     """Series is not of the normalized form z + a2 z^2 + ..."""
 
 
-def _rows(a: np.ndarray) -> list:
-    """The rows of a: Python complex numbers for one series, arrays for a batch."""
+def _rows(a: list | np.ndarray) -> list:
+    """The rows of a: a itself when it is a list, Python complex numbers
+    for a 1-D array, arrays for a batch."""
+    if isinstance(a, list):
+        return a
     return a.tolist() if a.ndim == 1 else list(a)
 
 
-def _stack(rows: list, a: np.ndarray) -> np.ndarray:
-    """rows as one coefficient-major array in the batch shape of a."""
+def _stack(rows: list, a: list | np.ndarray) -> list | np.ndarray:
+    """rows in the form of a: the list itself, or one coefficient-major
+    array in the batch shape of the array a."""
+    if isinstance(a, list):
+        return rows
+    import numpy as np   # a is an array, so numpy is loaded already
     out = np.empty((len(rows),) + a.shape[1:], dtype=np.complex128)
     for k, row in enumerate(rows):
         out[k] = row
     return out
 
 
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def mul(a: list | np.ndarray, b: list | np.ndarray) -> list | np.ndarray:
     """Cauchy product of two series of equal shape, truncated to it."""
     x, y = _rows(a), _rows(b)
     return _stack([sum(x[i] * y[k - i] for i in range(k + 1))
                    for k in range(len(x))], a)
 
 
-def div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def div(a: list | np.ndarray, b: list | np.ndarray) -> list | np.ndarray:
     """Quotient a / b of two series of equal shape; b[0] must not vanish."""
     x, y = _rows(a), _rows(b)
     q = []
@@ -111,37 +123,37 @@ def div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _stack(q, a)
 
 
-def exp(s: np.ndarray) -> np.ndarray:
+def exp(s: list | np.ndarray) -> list | np.ndarray:
     """exp of a series with zero constant term, via e' = e * s'."""
     ws = [k * c for k, c in enumerate(_rows(s))]   # k * s_k
-    e = [1.0]
+    e = [1 + 0j]
     for m in range(1, len(ws)):
         e.append(sum(ws[k] * e[m - k] for k in range(1, m + 1)) / m)
     return _stack(e, s)
 
 
-def log(s: np.ndarray) -> np.ndarray:
+def log(s: list | np.ndarray) -> list | np.ndarray:
     """log of a series with unit constant term, recurrence dual to exp."""
     x = _rows(s)
-    out = [0.0]
+    out = [0j]
     for m in range(1, len(x)):
         out.append((m * x[m] - sum(k * out[k] * x[m - k] for k in range(1, m))) / m)
     return _stack(out, s)
 
 
-def antiderivative(s: np.ndarray) -> np.ndarray:
+def antiderivative(s: list | np.ndarray) -> list | np.ndarray:
     """Antiderivative vanishing at 0; one coefficient longer than s."""
-    return _stack([0.0] + [c / k for k, c in enumerate(_rows(s), 1)], s)
+    return _stack([0j] + [c / k for k, c in enumerate(_rows(s), 1)], s)
 
 
-def inverse(f: np.ndarray) -> np.ndarray:
+def inverse(f: list | np.ndarray) -> list | np.ndarray:
     """Compositional inverse F of f = z + a2 z^2 + ..., with f(F(w)) = w.
 
     Built coefficient by coefficient: with A2..A(m-1) fixed and Am = 0,
     the w^m coefficient of f(F(w)) = sum_k a_k F^k is exactly -Am.
     """
     x = _rows(f)
-    inv = [0.0, 1.0]
+    inv = [0j, 1 + 0j]
     for m in range(2, len(x)):
         head = power = inv + [0.0]
         acc = 0.0
@@ -160,6 +172,7 @@ class TruncatedSeries:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[Complex] | np.ndarray):
+        import numpy as np   # the class layer holds arrays; the kernels need none
         c = np.array(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
                      dtype=np.complex128)
         if c.ndim != 1 or c.size == 0:
@@ -192,9 +205,7 @@ class TruncatedSeries:
         (polynomial data); padding a genuine truncation fabricates zeros.
         """
         n = min(order, self.order) + 1
-        out = np.zeros(order + 1, dtype=np.complex128)
-        out[:n] = self._c[:n]
-        return TruncatedSeries(out)
+        return TruncatedSeries(self._c[:n].tolist() + [0j] * (order + 1 - n))
 
     # -- ring operations ---------------------------------------------------
 
@@ -224,7 +235,7 @@ class TruncatedSeries:
         """Coefficientwise derivative; order drops by one."""
         if self.order < 1:
             raise SeriesError("derivative requires order >= 1")
-        return TruncatedSeries(self._c[1:] * np.arange(1, self._c.size))
+        return TruncatedSeries(self._c[1:] * range(1, self._c.size))
 
     def antiderivative(self) -> "TruncatedSeries":
         """Antiderivative vanishing at 0; order grows by one."""
@@ -242,12 +253,11 @@ class TruncatedSeries:
             raise CompositionAtNonOrigin(
                 f"inner constant term must be 0, got {inner._c[0]}")
         n = self.order
-        g = inner.padded(n).coeffs
-        acc = np.zeros(n + 1, dtype=np.complex128)
-        acc[0] = self._c[n]
+        c, g = self._c.tolist(), inner.padded(n)._c.tolist()
+        acc = [c[n]] + [0j] * n
         for k in range(n - 1, -1, -1):
             acc = mul(acc, g)
-            acc[0] += self._c[k]
+            acc[0] += c[k]
         return TruncatedSeries(acc)
 
     def exp(self) -> "TruncatedSeries":

@@ -8,7 +8,7 @@ sampled batch back as such a spec, so the tests can rebuild a sampled member
 by the single-member solve.  ``libera_expand`` gives (p1, p2, p3, p4) from the
 coefficient representation of the Caratheodory class.  The package builds
 members from Schwarz or Caratheodory coefficients directly and samples
-through ``ozaki.classes.blaschke_product``; the tests check it against these.
+through ``ozaki.sampling.blaschke_product``; the tests check it against these.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ozaki.classes import CaratheodoryCoeffs, SchwarzCoeffs, blaschke_product
+from ozaki.classes import CaratheodoryCoeffs, SchwarzCoeffs
+from ozaki.sampling import blaschke_product
 
 
 class ZeroOutsideDisk(ValueError):

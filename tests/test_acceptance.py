@@ -25,7 +25,7 @@ import numpy as np
 
 from blaschke_oracle import libera_expand, LiberaParams
 from ozaki.classes import ClassLabel, coeffs_from_caratheodory_direct, \
-    build_member, SchwarzCoeffs, caratheodory_array, solve_member
+    build_member, SchwarzCoeffs
 from ozaki.cli import run
 from ozaki.functionals import CoeffTriple, full_report
 from ozaki.gridsearch import grid_extremize
@@ -34,6 +34,7 @@ from ozaki.sampling import SampleConfig, _draw_batch, _schwarz_coeffs, \
     sample_and_check
 from ozaki.series import NormalizedFunction, TruncatedSeries, div, identity
 from rotation_oracle import toeplitz_t21_log
+from test_sampling import batch_member
 
 F, G = ClassLabel.F, ClassLabel.G
 
@@ -263,7 +264,7 @@ def test_formula_consistency_suite():
         one_minus = -w
         one_minus[0] += 1.0
         p = div(one_plus, one_minus)
-        f = solve_member(label, caratheodory_array(w))
+        f = batch_member(label, w)
         p1, p2, p3 = p[1], p[2], p[3]
         if label is F:
             s_direct = (1.5 * c1, (4 * c1 ** 2 + c2) / 2,

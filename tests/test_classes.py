@@ -15,13 +15,13 @@ from blaschke_oracle import (BlaschkeSpec, LiberaParams, ZeroOutsideDisk,
                              libera_expand, schwarz_from_blaschke)
 from ozaki import classes
 from ozaki.classes import (CaratheodoryCoeffs, ClassLabel, OzakiFunction,
-                           SchwarzCoeffs, UnknownExtremalName,
-                           blaschke_product, build_member,
+                           SchwarzCoeffs, UnknownExtremalName, build_member,
                            build_member_from_caratheodory, caratheodory_array,
                            caratheodory_from_schwarz,
                            coeffs_from_caratheodory_direct,
                            coeffs_from_schwarz_direct, extremal_member,
                            solve_member)
+from ozaki.sampling import blaschke_product
 from ozaki.series import TruncatedSeries
 from test_series import binomial_pow_oracle
 
@@ -143,7 +143,7 @@ def test_prefix_c3_violation():
 
 def test_non_finite_prefix_rejected():
     # inf and nan coefficients, given or (for 1e200) from overflow in p, fail
-    # the criterion itself, before LAPACK sees them and without a warning
+    # the criterion itself, before the recursion sees them and without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for c in ((float("nan"),), (float("inf"),), (1e200,), (1e200j,)):
@@ -152,6 +152,73 @@ def test_non_finite_prefix_rejected():
         for p in ((float("nan"),), (float("inf"),)):
             with pytest.raises(ValueError, match="Caratheodory-Toeplitz"):
                 CaratheodoryCoeffs(p)
+
+
+def lowest_toeplitz_eigenvalue(p):
+    """The lowest eigenvalue of the Hermitian Toeplitz matrix of
+    (2, p1, ..., pN), by LAPACK: the oracle of the membership rule."""
+    c = np.concatenate(([2.0], np.asarray(p, dtype=complex)))
+    index = np.abs(np.arange(c.size)[:, None] - np.arange(c.size))
+    return np.linalg.eigvalsh(c[index], UPLO="U")[0]
+
+
+def levinson_accepts(p):
+    try:
+        classes._require_caratheodory_prefix(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_levinson_rule_agrees_with_the_eigenvalue_rule():
+    """The recursion accepts (p1, ..., pN) exactly when the lowest eigenvalue
+    of the Toeplitz matrix of (2, p1, ..., pN) is >= -1e-9, except within
+    rounding of -1e-9 itself, where both rules are decided by rounding."""
+    rng = np.random.default_rng(2028)
+
+    def blaschke_prefix(n):
+        """p1..pn of a genuine Schwarz function: T is positive semidefinite,
+        and singular once n exceeds the degree of the product."""
+        k = rng.integers(0, 4)
+        zeros = np.sqrt(rng.uniform(0, 0.98, k)) * np.exp(2j * np.pi * rng.uniform(size=k))
+        w = schwarz_from_blaschke(BlaschkeSpec(rng.uniform(0, 2 * np.pi), tuple(zeros)), n)
+        return caratheodory_array([0.0, *w.prefix(n)])[1:]
+
+    corpus = []
+    for n in range(3, 33):
+        for _ in range(3):
+            p = blaschke_prefix(n)
+            corpus.append(p)
+            for e in range(5, 14):   # one coefficient moved by 1 +- 10^-e
+                for sign in (1, -1):
+                    q, j = list(p), rng.integers(n)
+                    q[j] *= 1 + sign * 10.0 ** -e
+                    corpus.append(q)
+            # s p with s = 1 + 5e-10 puts the lowest eigenvalue of a singular
+            # T at -1e-9 exactly: the case where the rules may differ
+            corpus.append([(1 + 5e-10) * x for x in p])
+    for n in (3, 5, 8):
+        corpus += (2 * np.sqrt(rng.uniform(size=(300, n)))
+                   * np.exp(2j * np.pi * rng.uniform(size=(300, n)))).tolist()
+    for n in (3, 4, 9):   # the witnesses' p = (1 + w)/(1 - w), rotated
+        for step in (1, 2):
+            for angle in (0.0, 0.3, 1.7):
+                corpus.append([2.0 * (k % step == 0) * cmath.exp(1j * angle * k)
+                               for k in range(1, n + 1)])
+
+    accepted, band, differ = 0, 0, []
+    for p in corpus:
+        lowest = lowest_toeplitz_eigenvalue(p)
+        by_levinson = levinson_accepts(p)
+        accepted += by_levinson
+        band += abs(lowest + 1e-9) <= 1e-12
+        if by_levinson != (lowest >= -1e-9):
+            differ.append(lowest + 1e-9)
+    assert all(abs(gap) <= 1e-12 for gap in differ), differ
+    assert len(corpus) // 4 < accepted < 3 * len(corpus) // 4
+    assert band >= 60   # the equality case is exercised, not only approached
+    assert levinson_accepts((2, 2, 2 + 1e-12)) and lowest_toeplitz_eigenvalue((2, 2, 2 + 1e-12)) >= -1e-9
+    assert not levinson_accepts((2, 2, 2 + 1e-8)) and lowest_toeplitz_eigenvalue((2, 2, 2 + 1e-8)) < -1e-9
 
 
 # ----------------------------------------------------------------------
@@ -249,8 +316,16 @@ def test_build_member_rejects_invalid_prefix():
 
 
 def test_build_member_rejects_small_order():
-    with pytest.raises(ValueError):
-        build_member(F, SchwarzCoeffs((0.5,)), 3)
+    """One check, the member's own, rejects every order below 4, a negative
+    one below the length of the data included."""
+    long_data = (0.1,) * 8
+    for order in (3, 0, -2):
+        for build, data in ((build_member, SchwarzCoeffs((0.5,))),
+                            (build_member, SchwarzCoeffs(long_data)),
+                            (build_member_from_caratheodory,
+                             CaratheodoryCoeffs(long_data))):
+            with pytest.raises(ValueError, match="order >= 4"):
+                build(F, data, order)
     # a member checks its own coefficients too: N >= 4, a0 = 0, a1 = 1
     for coeffs in ((0, 1, 0, 0), (1e-300, 1, 0, 0, 0), (0, 1 + 1e-16j, 0, 0, 0)):
         with pytest.raises(ValueError):
@@ -329,8 +404,8 @@ def test_member_solve_reproduces_witnesses_exactly(name):
         fprime[k] = term
         term *= (k // step - alpha) / (k // step + 1)
     exact = [0.0] + [float(a / n) for n, a in enumerate(fprime, 1)]
-    got = solve_member(label, caratheodory_array(SchwarzCoeffs(c).array(order)))
-    assert got.tolist() == exact
+    got = solve_member(label, caratheodory_array([0.0, *SchwarzCoeffs(c).prefix(order)]))
+    assert got == exact
 
 
 def test_extremal_member_is_cached_but_never_shared():

@@ -276,11 +276,12 @@ def test_moved_inverse_coefficient_fails_the_check(field):
 
 
 def test_nan_coefficient_fails_the_check():
-    """A NaN a3 raises, for one member and in one column of a batch."""
+    """A NaN a3 raises, for one member (as an array or as Python numbers,
+    whose first term is finite) and in one column of a batch."""
     member = np.array([0, 1, 0.5, np.nan, 0.1])
     block = _drawn_chunk(ClassLabel.G, 1907)[:, :2].copy()
     block[3, 1] = np.nan
-    for f in (member, block):
+    for f in (member, tuple(member.tolist()), block):
         with pytest.raises(InverseSeriesMismatch):
             inverse_crosscheck(f, evaluate(CoeffTriple(f[2], f[3], f[4])))
 

@@ -1,0 +1,62 @@
+"""The package's lazy exports, and single-member commands without numpy."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import ozaki
+from ozaki import cli
+
+SINGLE_MEMBER_COMMANDS = (
+    ["extremal", "f2", "--order", "12"],
+    ["coeffs", "--class", "G", "--schwarz=-0.3:0.1,0.2"],
+    ["coeffs", "--class", "F", "--caratheodory", "1,0.5:0.5", "--order", "10"],
+    ["report", "--class", "F", "--schwarz=0.3:0.1,0.2"],
+    ["report", "--class", "G", "--caratheodory", "1,0.5:0.5"],
+    ["report", "--extremal", "g1"],
+    ["verify", "--class", "all"],
+)
+
+# numpy cannot be imported in this interpreter: an import of it raises
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+import ozaki
+import ozaki.cli
+results = [ozaki.cli.run(argv) for argv in json.loads(sys.argv[1])]
+rejected = ozaki.cli.main(["report", "--class", "F", "--caratheodory", "2,2,-2"])
+assert sys.modules["numpy"] is None
+print(json.dumps([results, rejected]))
+"""
+
+
+def test_single_member_commands_run_without_numpy():
+    """import ozaki, import ozaki.cli and the single-member commands load no
+    numpy, and print what they print with numpy loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(SINGLE_MEMBER_COMMANDS)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    results, rejected = json.loads(proc.stdout)
+    assert results == [list(cli.run(argv)) for argv in SINGLE_MEMBER_COMMANDS]
+    assert rejected == 1
+    assert "Caratheodory-Toeplitz criterion" in proc.stderr
+
+
+def test_every_public_name_resolves_from_its_module():
+    assert ozaki.__all__ == sorted(set(ozaki.__all__))
+    for name in ozaki.__all__:
+        value = getattr(ozaki, name)
+        if name in ozaki._EXPORTS:
+            assert value is sys.modules[f"ozaki.{name}"]
+        else:
+            module = sys.modules[f"ozaki.{ozaki._MODULE_OF[name]}"]
+            assert value is getattr(module, name)
+    assert set(dir(ozaki)) >= set(ozaki.__all__)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ozaki.no_such_name

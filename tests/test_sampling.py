@@ -8,22 +8,25 @@ import numpy as np
 import pytest
 
 from blaschke_oracle import BlaschkeSpec, schwarz_from_blaschke, spec_from_batch
-from ozaki.classes import (ClassLabel, SchwarzCoeffs, blaschke_product,
-                           build_member, caratheodory_array, solve_member)
+from ozaki.classes import (ClassLabel, SchwarzCoeffs, build_member,
+                           caratheodory_array, solve_member)
 from ozaki.cli import run
 from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
                                full_report, inverse_crosscheck)
 from ozaki.ledger import LEDGER, check_extremals, entries_for
 from ozaki.sampling import (_CHUNK, _TILE, STAT_NAMES, SampleConfig,
                             _check_chunk, _check_members, _draw_batch, _members,
-                            _merge, _schwarz_coeffs, sample_and_check)
+                            _merge, _schwarz_coeffs, blaschke_product,
+                            sample_and_check)
 
 F, G = ClassLabel.F, ClassLabel.G
 
 
 def batch_member(label, w):
-    """Members for the Schwarz columns of w, as the sampler builds them."""
-    return solve_member(label, caratheodory_array(w))
+    """Members for the Schwarz columns of w, solved on the rows of w and
+    stacked coefficient-major."""
+    rows = solve_member(label, caratheodory_array(list(w)))
+    return np.array(np.broadcast_arrays(*rows), dtype=complex)
 
 
 def batch_values(f):

@@ -71,3 +71,12 @@ def test_objects_with_other_keys_are_walked_key_by_key():
     floats, other = _diff([0, old, ""], [0, new, ""])
     assert other == ["payload.order: removed", "payload.extra: added"]
     assert floats == {"payload.a2": (0.5, 0.5 / 1.5)}
+
+
+def test_an_empty_stdout_is_named_as_such():
+    """A command that fails on one side prints nothing on stdout there; the
+    difference names the empty side, not a CSV header."""
+    out = _json({"label": "F"})
+    for old, new, side in (("", out, "old"), (out, "", "new")):
+        floats, other = _diff([1, old, "ozaki: x\n"], [1, new, "ozaki: x\n"])
+        assert floats == {} and other == [f"stdout is empty on the {side} side"]

@@ -1,0 +1,91 @@
+"""Wall times of fresh interpreters: start-up, import and the single-member
+commands.
+
+    python3 tools/startup_stages.py [--runs N]
+
+Run from anywhere; the package is imported from this checkout's ``src/``.
+Each stage is one fresh ``python`` process, timed from start to exit with
+``time.perf_counter`` in this process:
+
+* ``python``: ``python -c pass``, the interpreter alone;
+* ``import``: ``import ozaki.cli``;
+* ``extremal``, ``coeffs``, ``report``, ``verify``: that import and then one
+  command through ``ozaki.cli.run``, as ``perfbench`` times its set-up.
+
+The stages run in turn, N rounds of them, so that drift of the machine
+spreads over every stage alike.  For each stage it prints the quartiles and
+median in milliseconds, and whether the process had imported numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# a stage's command line for ozaki.cli.run; None runs no command
+STAGES = {
+    "import": None,
+    "extremal": ("extremal", "f1"),
+    "coeffs": ("coeffs", "--class", "F", "--schwarz=0.3:0.1,0.2"),
+    "report": ("report", "--class", "G", "--caratheodory=1,0.5:0.5"),
+    "verify": ("verify", "--class", "all"),
+}
+CODE = ("import sys; sys.path.insert(0, sys.argv[1]); import ozaki.cli; "
+        "code = ozaki.cli.run(sys.argv[2:])[0] if sys.argv[2:] else 0; "
+        "print('numpy' in sys.modules); sys.exit(0 if code in (0, 2) else 1)")
+
+
+def run_stage(name: str) -> tuple[float, bool]:
+    """Seconds of one fresh process of stage ``name``, and whether it
+    imported numpy."""
+    if name == "python":
+        argv = [sys.executable, "-c", "pass"]
+    else:
+        argv = [sys.executable, "-c", CODE, str(SRC), *(STAGES[name] or ())]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, check=False)
+    spent = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"stage {name} exited {proc.returncode}: {proc.stderr}")
+    return spent, proc.stdout.strip() == "True"
+
+
+def stage_table(runs: int) -> str:
+    names = ("python", *STAGES)
+    times: dict[str, list[float]] = {name: [] for name in names}
+    numpy: dict[str, bool] = {name: False for name in names}
+    for _ in range(runs):
+        for name in names:
+            spent, loaded = run_stage(name)
+            times[name].append(spent)
+            numpy[name] = numpy[name] or loaded
+    lines = [f"fresh interpreters, {runs} runs per stage, Python "
+             f"{sys.version.split()[0]}",
+             f"{'stage':<10}{'q1 ms':>9}{'median ms':>11}{'q3 ms':>9}  numpy"]
+    for name in names:
+        ms = [1e3 * t for t in times[name]]
+        q1, med, q3 = (statistics.quantiles(ms, n=4, method="inclusive")
+                       if runs > 1 else ms * 3)
+        lines.append(f"{name:<10}{q1:>9.1f}{med:>11.1f}{q3:>9.1f}  "
+                     f"{'yes' if numpy[name] else 'no'}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=15)
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    print(stage_table(args.runs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

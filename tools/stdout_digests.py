@@ -14,11 +14,12 @@ With ``--compare``, the same commands run once in this checkout and once in
 the checkout at OTHER_ROOT (a ``git worktree`` of the parent, say), one
 subprocess each.  For every family it prints how many commands differ, each
 difference that is not a float change (exit code, stderr, a string, an
-integer such as a count, a key added or removed, or a list length), and the
-largest absolute and relative float change per JSON path (list indices
-collapsed to ``[]``) and per CSV cell (first column, header).  Two objects
-are walked over their shared keys even where one has a key the other lacks.
-It exits 1 if any difference is not a float change.
+integer such as a count, a key added or removed, a list length, or a stdout
+empty on one side only), and the largest absolute and relative float change
+per JSON path (list indices collapsed to ``[]``) and per CSV cell (first
+column, header).  Two objects are walked over their shared keys even where
+one has a key the other lacks.  It exits 1 if any difference is not a float
+change.
 
 The families are ``sample`` (F and G at 10^5 members, 8 seeds, JSON and CSV),
 ``sample-flags`` (the sampler's options and sizes around its chunk and tile
@@ -269,6 +270,9 @@ def _output_diff(old, new, floats: dict, other: list) -> None:
     if err_a != err_b:
         other.append(f"stderr {err_a!r} -> {err_b!r}")
     if out_a == out_b:
+        return
+    if not out_a or not out_b:   # an error on one side prints no stdout
+        other.append(f"stdout is empty on the {'new' if out_a else 'old'} side")
         return
     try:
         tree_a, tree_b = (json.loads(out, parse_int=_int) for out in (out_a, out_b))
