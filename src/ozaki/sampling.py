@@ -15,12 +15,14 @@ Schwarz order 3 (``blaschke_product``) and read a2..a4 from
 included, still come from ``solve_member`` of :mod:`ozaki.classes`.  Only
 active zeros (the first ``count`` of a product) are expanded, and the second
 product only for mixtures; the draw gathers and places the active zeros by
-one list of flat indices.  Chunks of ``_CHUNK`` members are the units of
-seeding: each draws from its own child seed, so results do not depend on how
-many worker threads run the chunks (set ``OZAKI_THREADS`` to use more than
-one).  Tiles of ``_TILE`` members are the units of compute, small enough for
-the cache.  Every block, a tile or the order-4 columns of the witnesses that
-the class's bounds name, is checked by ``_check_members`` through
+one list of flat indices, and holds each draw only until it is read.
+Chunks of ``_CHUNK`` members are the units of seeding: each draws from its
+own child seed, so results do not depend on how many threads run the chunks.
+By default one thread runs them, the caller's; ``OZAKI_THREADS`` above 1
+runs them in a thread pool, and only then is ``concurrent.futures``
+imported.  Tiles of ``_TILE`` members are the units of compute, small
+enough for the cache.  Every block, a tile or the order-4 columns of the
+witnesses that the class's bounds name, is checked by ``_check_members`` through
 ``evaluate``, ``inverse_crosscheck`` and ``FUNCTIONAL_VALUES`` of
 :mod:`ozaki.functionals`; ``_merge`` combines the blocks exactly.
 """
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -145,34 +146,45 @@ class _BlaschkeBatch:
 
 
 def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBatch:
+    """Draw n members' Blaschke parameters from ``rng``.
+
+    The generator calls keep one fixed order, which fixes every value.  Each
+    draw is released once it is read: ``cat`` becomes masks at once, the
+    near-boundary counts go into ``counts`` before the radii are drawn, and
+    the radii and angles are gathered at the active slots and dropped
+    before ``zeros`` is allocated.  So at most two (n, 2, k) arrays are
+    alive at once.
+    """
     k = max(max_zeros, 1)
     cat = rng.uniform(size=n)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2))
-    counts = rng.integers(0, max_zeros + 1, size=(n, 2))
-    near_counts = rng.integers(1, k + 1, size=n)
-    r2 = rng.uniform(size=(n, 2, k))
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2, k))
-    mix_u = rng.uniform(size=n)
-    weight = rng.uniform(size=n)
-
     pure = cat < _PURE_ROTATION_SHARE
     near = (~pure) & (cat < _PURE_ROTATION_SHARE + _NEAR_BOUNDARY_SHARE)
-    plain = ~(pure | near)
-    is_mix = plain & (mix_u < _MIXTURE_SHARE)
-    weight = np.where(is_mix, weight, 1.0)
-
-    # counts and r2 are fresh draws, read nowhere else: edit them in place
+    del cat
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2))
+    counts = rng.integers(0, max_zeros + 1, size=(n, 2))
     counts[pure, 0] = 0
+    near_counts = rng.integers(1, k + 1, size=n)
     if max_zeros > 0:
         counts[near, 0] = near_counts[near]
-    counts[:, 1] = np.where(is_mix, counts[:, 1], 0)
+    del near_counts
+    r2 = rng.uniform(size=(n, 2, k))
     r2[near, 0, :] = _NEAR_RADIUS_SQ + (1.0 - _NEAR_RADIUS_SQ) * r2[near, 0, :]
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2, k))
+    is_mix = ~(pure | near) & (rng.uniform(size=n) < _MIXTURE_SHARE)
+    weight = rng.uniform(size=n)
+    weight[~is_mix] = 1.0
+    counts[~is_mix, 1] = 0
     # only the first count zeros of a product are read; the others stay 0.
     # One flat index list serves the gathers and the scatter; its mask is
     # built one slot at a time, in long passes over the (n, 2) counts.
     idx = np.flatnonzero(np.stack([counts > j for j in range(k)], axis=-1))
+    radius, phase = np.sqrt(r2.take(idx)), ang.take(idx)
+    del r2, ang
+    active = np.exp(1j * phase)
+    active *= radius
+    del radius, phase
     zeros = np.zeros((n, 2, k), dtype=np.complex128)
-    zeros.put(idx, np.sqrt(r2.take(idx)) * np.exp(1j * ang.take(idx)))
+    zeros.reshape(-1)[idx] = active
     return _BlaschkeBatch(theta=theta, zeros=zeros, counts=counts,
                           is_mix=is_mix, weight=weight)
 
@@ -265,11 +277,19 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
     seeds = np.random.SeedSequence(cfg.seed).spawn(nchunks)
 
     tol = cfg.violation_tolerance
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        blocks = [tile for chunk in pool.map(
-            lambda seed, size: _check_chunk(cfg.label, seed, size,
-                                            cfg.blaschke_max_zeros, sides, tol),
-            seeds, sizes) for tile in chunk]
+
+    def check(seed, size):
+        return _check_chunk(cfg.label, seed, size, cfg.blaschke_max_zeros,
+                            sides, tol)
+
+    threads = _thread_count()
+    if threads == 1:   # in this thread: no pool, and one malloc arena
+        chunks = list(map(check, seeds, sizes))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(check, seeds, sizes))
+    blocks = [tile for chunk in chunks for tile in chunk]
     if cfg.include_extremals:
         witnesses = sorted({chk.witness for _, chk in sides})
         block = np.stack([extremal_member(name, FUNCTIONAL_ORDER).coeffs

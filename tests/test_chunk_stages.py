@@ -25,9 +25,14 @@ def test_every_stage_is_printed_per_class(capsys):
     out = capsys.readouterr().out
     for label in "FG":
         assert f"class {label}: 2 chunks" in out
-    rows = [line.split()[0] for line in out.splitlines()]
+    lines = out.splitlines()
+    # per class a timing table, then a table of peak traced memory
+    assert [line.split()[1:] for line in lines if line.startswith("stage")] == [
+        ["q1", "ms", "median", "ms", "q3", "ms"], ["peak", "KiB"]] * 2
+    rows = [line.split() for line in lines]
     for stage in tool.STAGES + ("total",):
-        assert rows.count(stage) == 2, stage
+        widths = [len(row) for row in rows if row[0] == stage]
+        assert widths == [4, 2, 4, 2], stage
 
 
 def test_timed_stages_compute_what_the_sampler_does():
@@ -40,3 +45,6 @@ def test_timed_stages_compute_what_the_sampler_does():
     _, tiles = tool.time_chunk(cfg, seed, _TILE, sides)
     assert tiles == _check_chunk(label, seed, _CHUNK, cfg.blaschke_max_zeros,
                                  sides, cfg.violation_tolerance)
+    peaks, traced_tiles = tool.memory_chunk(cfg, seed, _TILE, sides)
+    assert traced_tiles == tiles
+    assert set(peaks) == set(tool.STAGES) and min(peaks.values()) > 0

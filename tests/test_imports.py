@@ -1,6 +1,7 @@
 """The package's lazy exports, and single-member commands without numpy."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -60,3 +61,34 @@ def test_every_public_name_resolves_from_its_module():
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ozaki.no_such_name
+
+
+_SAMPLE = """
+import sys
+import ozaki.cli
+code, text = ozaki.cli.run(["sample", "--class", "F", "--samples", "2000"])
+print(text)
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def _sample_in_fresh_interpreter(threads):
+    env = {k: v for k, v in os.environ.items() if k != "OZAKI_THREADS"}
+    if threads is not None:
+        env["OZAKI_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", _SAMPLE], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    text, _, pooled = proc.stdout.rstrip("\n").rpartition("\n")
+    return text, pooled == "True"
+
+
+def test_one_thread_samples_without_a_pool():
+    """By default ``sample`` runs its chunks in the calling thread and never
+    imports concurrent.futures; two threads do, and print the same text."""
+    one, pooled = _sample_in_fresh_interpreter(None)
+    assert not pooled
+    two, pooled = _sample_in_fresh_interpreter("2")
+    assert pooled
+    assert two == one
+    assert json.loads(one)["payload"]["count"] == 2000

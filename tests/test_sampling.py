@@ -1,5 +1,6 @@
 """Ledger checks, randomized bound search, and batch/scalar agreement."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -134,14 +135,15 @@ def dense_draw(rng, n, max_zeros):
     return theta, zeros, counts, is_mix, weight
 
 
-@pytest.mark.parametrize("max_zeros", [0, 1, 3])
+@pytest.mark.parametrize("max_zeros", [0, 1, 3, 5])
 def test_draw_expands_only_the_zeros_it_reads(max_zeros):
     """Every value read from a draw is bitwise the dense draw's; the zeros
     past a product's count are never read and stay 0."""
-    for seed in np.random.SeedSequence(1901).spawn(2):
-        batch = _draw_batch(np.random.default_rng(seed), 5000, max_zeros)
+    for n, seed in itertools.product((1, 5000, _CHUNK),
+                                     np.random.SeedSequence(1901).spawn(2)):
+        batch = _draw_batch(np.random.default_rng(seed), n, max_zeros)
         theta, zeros, counts, is_mix, weight = dense_draw(
-            np.random.default_rng(seed), 5000, max_zeros)
+            np.random.default_rng(seed), n, max_zeros)
         for got, want in ((batch.theta, theta), (batch.counts, counts),
                           (batch.is_mix, is_mix), (batch.weight, weight)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

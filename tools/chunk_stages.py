@@ -17,6 +17,10 @@ with ``time.perf_counter`` the stages that ``_check_chunk`` runs:
 
 Each tile's stage times are summed over the chunk.  It prints the quartiles
 and median of each stage, and of their sum, in milliseconds per chunk.
+Then, from one more chunk run apart from the timed ones with ``tracemalloc``
+on, it prints each stage's peak traced memory in KiB above what was traced
+when the chunk began (the drawn batch included, for the per-tile stages;
+the largest tile for those), and the peak of the whole chunk as ``total``.
 ``--tile`` splits each chunk into tiles of T members in place of
 ``_TILE``, to compare tile sizes; it does not change what is computed.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,32 +47,63 @@ from ozaki.sampling import (_CHUNK, _TILE, SampleConfig,  # noqa: E402
 STAGES = ("draw", "members", "evaluate", "crosscheck", "reduction")
 
 
+def run_chunk(cfg: SampleConfig, seed: np.random.SeedSequence, tile: int,
+              sides, measure) -> list[tuple]:
+    """The per-tile results, in the form of ``_check_members``, of one chunk
+    drawn from ``seed`` with the settings of ``cfg``; each stage runs as
+    ``measure(stage, thunk)``, which returns what ``thunk()`` returns."""
+    batch = measure("draw", lambda: _draw_batch(
+        np.random.default_rng(seed), _CHUNK, cfg.blaschke_max_zeros))
+    return [run_tile(cfg, batch, start, tile, sides, measure)
+            for start in range(0, _CHUNK, tile)]
+
+
+def run_tile(cfg: SampleConfig, batch, start: int, tile: int, sides,
+             measure) -> tuple:
+    """The tile of ``batch`` at ``start`` through the stages that follow the
+    draw; like the sampler, it holds nothing of the tile when it returns."""
+    f = measure("members", lambda: _members(cfg.label, batch[start:start + tile]))
+    report = measure("evaluate", lambda: evaluate(CoeffTriple(f[2], f[3], f[4])))
+    crosscheck = measure("crosscheck", lambda: inverse_crosscheck(f, report))
+    mins, maxs, violations = measure("reduction", lambda: _reduce(
+        report, sides, cfg.violation_tolerance))
+    return mins, maxs, violations, crosscheck
+
+
 def time_chunk(cfg: SampleConfig, seed: np.random.SeedSequence, tile: int,
                sides) -> tuple[dict[str, float], list[tuple]]:
-    """Seconds per stage for one chunk drawn from ``seed`` with the settings
-    of ``cfg``, and its per-tile results in the form of ``_check_members``."""
+    """Seconds per stage of one chunk, summed over its tiles, and its
+    per-tile results (see ``run_chunk``)."""
     spent = dict.fromkeys(STAGES, 0.0)
-    t0 = time.perf_counter()
-    batch = _draw_batch(np.random.default_rng(seed), _CHUNK,
-                        cfg.blaschke_max_zeros)
-    t1 = time.perf_counter()
-    spent["draw"] = t1 - t0
-    tiles = []
-    for start in range(0, _CHUNK, tile):
+
+    def measure(stage, thunk):
         t0 = time.perf_counter()
-        f = _members(cfg.label, batch[start:start + tile])
-        t1 = time.perf_counter()
-        report = evaluate(CoeffTriple(f[2], f[3], f[4]))
-        t2 = time.perf_counter()
-        crosscheck = inverse_crosscheck(f, report)
-        t3 = time.perf_counter()
-        mins, maxs, violations = _reduce(report, sides, cfg.violation_tolerance)
-        t4 = time.perf_counter()
-        for stage, (a, b) in zip(STAGES[1:], ((t0, t1), (t1, t2), (t2, t3),
-                                              (t3, t4))):
-            spent[stage] += b - a
-        tiles.append((mins, maxs, violations, crosscheck))
-    return spent, tiles
+        out = thunk()
+        spent[stage] += time.perf_counter() - t0
+        return out
+
+    return spent, run_chunk(cfg, seed, tile, sides, measure)
+
+
+def memory_chunk(cfg: SampleConfig, seed: np.random.SeedSequence, tile: int,
+                 sides) -> tuple[dict[str, int], list[tuple]]:
+    """Peak traced bytes per stage of one chunk, above what was traced when
+    the chunk began, the largest over its tiles, and its per-tile results
+    (see ``run_chunk``)."""
+    peaks = dict.fromkeys(STAGES, 0)
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+
+    def measure(stage, thunk):
+        tracemalloc.reset_peak()
+        out = thunk()
+        peaks[stage] = max(peaks[stage], tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    try:
+        return peaks, run_chunk(cfg, seed, tile, sides, measure)
+    finally:
+        tracemalloc.stop()
 
 
 def stage_table(label: ClassLabel, chunks: int, seed: int, tile: int) -> str:
@@ -85,6 +121,11 @@ def stage_table(label: ClassLabel, chunks: int, seed: int, tile: int) -> str:
               for r in runs]
         q1, med, q3 = np.percentile(ms, [25, 50, 75])
         lines.append(f"{stage:<12}{q1:>10.3f}{med:>11.3f}{q3:>10.3f}")
+    peaks = memory_chunk(cfg, seeds[0], tile, sides)[0]
+    lines.append(f"{'stage':<12}{'peak KiB':>10}")
+    for stage in STAGES + ("total",):
+        peak = max(peaks.values()) if stage == "total" else peaks[stage]
+        lines.append(f"{stage:<12}{peak / 1024:>10.0f}")
     return "\n".join(lines)
 
 

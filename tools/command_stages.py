@@ -4,9 +4,12 @@
 
 Run from anywhere; the package is imported from this checkout's ``src/``.
 It builds N blocks of the ``perfbench`` scalar stream at seed S (100 member
-commands and one ``verify --class all`` each), runs the first block once
-untimed as a warm-up, and then times every command once with
-``time.perf_counter`` in the phases that ``ozaki.cli.run`` goes through:
+commands and one ``verify --class all`` each) and runs the first block once
+untimed as a warm-up.  Then, as ``perfbench/run.py`` does, it collects and
+freezes the garbage collector's objects, so that a collection does not walk
+them inside a timed command.  It times the whole stream in ``PASSES``
+passes with ``time.perf_counter``, in the phases that ``ozaki.cli.run``
+goes through:
 
 * ``parse``: ``ozaki.cli._parse``, the step of ``run`` that reads the
   command line with the subcommand's own parser;
@@ -14,14 +17,17 @@ untimed as a warm-up, and then times every command once with
   functionals, or the ledger check of ``verify``;
 * ``emit``: the envelope and its JSON text.
 
-For each kind of command (``report`` from Schwarz data, ``report`` from
-Caratheodory data, ``coeffs`` and ``verify``) it prints the quartiles and
-median of each phase, and of their sum, in microseconds per command.
+Each command's time in a phase, and in their sum, is its median over the
+passes.  For each kind of command (``report`` from Schwarz data, ``report``
+from Caratheodory data, ``coeffs`` and ``verify``) it prints the quartiles
+and median of those per-command medians, in microseconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -38,6 +44,7 @@ from ozaki.classes import SchwarzCoeffs, caratheodory_from_schwarz  # noqa: E402
 
 PHASES = ("parse", "payload", "emit")
 KINDS = ("report/schwarz", "report/caratheodory", "coeffs", "verify")
+PASSES = 5   # timed passes over the stream; each command's median is kept
 
 
 def kind_of(argv) -> str:
@@ -70,20 +77,40 @@ def scalar_commands(blocks: int, seed: int) -> list[tuple[str, ...]]:
     return [op.argv for unit in units for op in unit.ops]
 
 
+def command_medians(argvs) -> list[dict[str, float]]:
+    """Per command of ``argvs``, the median seconds of each phase and of
+    their sum (``total``) over ``PASSES`` passes of the whole stream."""
+    passes = [[time_command(argv)[0] for argv in argvs]
+              for _ in range(PASSES)]
+    medians = []
+    for runs in zip(*passes):
+        median = {phase: statistics.median(r[phase] for r in runs)
+                  for phase in PHASES}
+        median["total"] = statistics.median(sum(r.values()) for r in runs)
+        medians.append(median)
+    return medians
+
+
 def phase_table(blocks: int, seed: int) -> str:
     argvs = scalar_commands(blocks, seed)
     for argv in argvs[:workloads.Sizes().block + 1]:   # warm-up, not counted
         time_command(argv)
+    gc.collect()
+    gc.freeze()
+    try:
+        medians = command_medians(argvs)
+    finally:
+        gc.unfreeze()
     runs: dict[str, list[dict[str, float]]] = {kind: [] for kind in KINDS}
-    for argv in argvs:
-        runs[kind_of(argv)].append(time_command(argv)[0])
-    lines = [f"{len(argvs)} scalar commands in {blocks} blocks, seed {seed}"]
+    for argv, median in zip(argvs, medians):
+        runs[kind_of(argv)].append(median)
+    lines = [f"{len(argvs)} scalar commands in {blocks} blocks, seed {seed}, "
+             f"median of {PASSES} passes per command"]
     for kind in KINDS:
         lines += [f"{kind}: {len(runs[kind])} commands",
                   f"{'phase':<10}{'q1 us':>10}{'median us':>11}{'q3 us':>10}"]
         for phase in PHASES + ("total",):
-            us = [1e6 * (sum(r.values()) if phase == "total" else r[phase])
-                  for r in runs[kind]]
+            us = [1e6 * r[phase] for r in runs[kind]]
             q1, med, q3 = np.percentile(us, [25, 50, 75])
             lines.append(f"{phase:<10}{q1:>10.1f}{med:>11.1f}{q3:>10.1f}")
     return "\n".join(lines)
