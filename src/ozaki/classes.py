@@ -12,18 +12,21 @@ fractions and cheap on arrays.  This module constructs members by solving
 that equation on the kernels of :mod:`ozaki.series`, on Python lists, so
 that building one needs no numpy; a member holds its coefficients a0..aN
 as a tuple.  Caratheodory data are checked by the Levinson-Durbin
-recursion, also on Python numbers.  Closed forms of a2..a4 serve the
-sampler and cross-check the solve.  The four classical extremal functions
-are built by the solve, from w = z (f1 in F, g1 in G) and w = z^2 (f2, g2).
+recursion, also on Python numbers.  The records are NamedTuples, which
+load no dataclass machinery; the three here coerce and check their fields
+in ``__new__``, and ``_make`` and ``_replace`` go through it.  Closed forms
+of a2..a4 serve the sampler and cross-check the solve.  The four classical
+extremal functions are built by the solve, from w = z (f1 in F, g1 in G)
+and w = z^2 (f2, g2).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from operator import mul
+from typing import NamedTuple
 
 from .series import antiderivative, div, exp
 
@@ -59,14 +62,23 @@ class UnknownExtremalName(ValueError):
     """Extremal name is not one of f1, f2, g1, g2."""
 
 
-@dataclass(frozen=True)
-class SchwarzCoeffs:
-    """Coefficients c1..cN of a Schwarz function w(z) = sum c_k z^k."""
+def _checked_make(cls, iterable):
+    """``_make``, and with it ``_replace``, through the checks of ``__new__``."""
+    return cls(*iterable)
 
+
+class _SchwarzFields(NamedTuple):
     c: tuple[complex, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", tuple(complex(v) for v in self.c))
+
+class SchwarzCoeffs(_SchwarzFields):
+    """Coefficients c1..cN of a Schwarz function w(z) = sum c_k z^k."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, c):
+        return super().__new__(cls, tuple(complex(v) for v in c))
 
     def prefix(self, k: int) -> tuple[complex, ...]:
         """First k coefficients, zero-padded."""
@@ -106,40 +118,50 @@ def _require_caratheodory_prefix(p) -> None:
                              f"p{k}) is not positive semidefinite")
 
 
-@dataclass(frozen=True)
-class CaratheodoryCoeffs:
+class _CaratheodoryFields(NamedTuple):
+    p: tuple[complex, ...]
+
+
+class CaratheodoryCoeffs(_CaratheodoryFields):
     """Coefficients p1..pN of p(z) = 1 + sum p_k z^k with Re p > 0.
 
     The given coefficients, zero-padded to p1..p3, must extend to such a p;
     those above them are read as zero and are not checked.
     """
 
-    p: tuple[complex, ...]
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(complex(v) for v in self.p))
+    def __new__(cls, p):
+        self = super().__new__(cls, tuple(complex(v) for v in p))
         _require_caratheodory_prefix(
             self.prefix(max(len(self.p), _CHECKED_PREFIX)))
+        return self
 
     def prefix(self, k: int) -> tuple[complex, ...]:
         return tuple(self.p[i] if i < len(self.p) else 0.0 for i in range(k))
 
 
-@dataclass(frozen=True)
-class OzakiFunction:
-    """A constructed member of class F or G: its coefficients a0..aN, with
-    a0 = 0, a1 = 1 and N >= 4, and its generating data.  It checks all three
-    itself; the builders leave the order to this check."""
-
+class _MemberFields(NamedTuple):
     label: ClassLabel
     coeffs: tuple[complex, ...]
     provenance: SchwarzCoeffs | CaratheodoryCoeffs | str
 
-    def __post_init__(self):
-        if len(self.coeffs) < 5:
+
+class OzakiFunction(_MemberFields):
+    """A constructed member of class F or G: its coefficients a0..aN, with
+    a0 = 0, a1 = 1 and N >= 4, and its generating data.  It checks all three
+    itself; the builders leave the order to this check."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, label, coeffs, provenance):
+        if len(coeffs) < 5:
             raise ValueError("class members are carried to order >= 4")
-        if self.coeffs[0] != 0 or self.coeffs[1] != 1:
+        if coeffs[0] != 0 or coeffs[1] != 1:
             raise ValueError("a member needs a0 = 0 and a1 = 1 exactly")
+        return super().__new__(cls, label, coeffs, provenance)
 
     @property
     def order(self) -> int:

@@ -12,22 +12,26 @@ Complex payload values are emitted as plain numbers when the imaginary part
 is zero, else as [re, im] pairs.  Field order is fixed, so repeating a
 command with the same seed yields byte-identical output.  The JSON text is
 written in one pass that appends its pieces to one list, joined once;
-strings are escaped to ASCII as ``json.dumps`` escapes them.  ``sample``
-and ``optimize`` import the sampler and the grid search, and with them
-numpy, when they run; the single-member commands need neither.
+strings are escaped to ASCII as ``json.dumps`` escapes them.
+
+A process imports what its command runs, when it runs it.  ``extremal``,
+``coeffs`` and ``report`` need :mod:`ozaki.classes` and
+:mod:`ozaki.functionals` alone; ``verify`` adds :mod:`ozaki.ledger`, and
+with it ``fractions``; ``optimize`` and ``sample`` add the grid search or
+the sampler, and with them numpy, ``dataclasses``, ``fractions`` and the
+objectives or the ledger; CSV output adds ``csv``.  A line that starts
+with a subcommand's name builds that subcommand's parser alone.  Only the
+other lines (``-h``, a misspelt name) build the full parser, which imports
+:mod:`ozaki.objectives` for the choices of ``optimize``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import io
-import csv
 import math
 import re
 import sys
-from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
@@ -39,8 +43,6 @@ from .classes import (CaratheodoryCoeffs, ClassLabel, SchwarzCoeffs,
                       coeffs_from_schwarz_direct, extremal_member,
                       EXTREMAL_NAMES)
 from .functionals import FUNCTIONAL_ORDER, FunctionalReport, full_report
-from .ledger import check_extremals
-from .objectives import OBJECTIVES, ObjectiveId
 
 __all__ = ["main", "run", "emit"]
 
@@ -114,7 +116,8 @@ def _num(z: complex) -> Any:
     return [z.real, z.imag]
 
 
-def _frac(q: Fraction) -> str:
+def _frac(q) -> str:
+    """A Fraction as "num/den"."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -127,6 +130,8 @@ def emit(envelope: dict, fmt: str, csv_rows: list[tuple] | None = None) -> str:
     if fmt == "csv":
         if csv_rows is None:
             raise _UsageError("csv format applies to sample and optimize output only")
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -185,56 +190,50 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-@functools.cache   # _Parser keeps no per-call state
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ozaki",
-                     description="Coefficient functionals and sharp-bound "
-                                 "verification for the Ozaki close-to-convex "
-                                 "classes F and G.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    parser.subcommands = {}   # name -> that subcommand's parser, for _parse
+def _add_format(p, *tabular):   # "csv" only where the payload has rows
+    p.add_argument("--format", choices=("json",) + tabular, default="json")
 
-    def add(name, help):
-        parser.subcommands[name] = sub.add_parser(name, help=help)
-        return parser.subcommands[name]
 
-    def add_format(p, *tabular):   # "csv" only where the payload has rows
-        p.add_argument("--format", choices=("json",) + tabular, default="json")
-
-    p = add("extremal", "coefficients of an extremal function")
+def _extremal_options(p):
     p.add_argument("name", choices=EXTREMAL_NAMES)
     p.add_argument("--order", type=int, default=8)
-    add_format(p)
+    _add_format(p)
 
-    p = add("coeffs", "initial coefficients from Schwarz or Caratheodory data")
+
+def _coeffs_options(p):
     p.add_argument("--class", dest="label", choices=("F", "G"), required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--schwarz", help="c1,c2,... as re:im,re:im,...")
     src.add_argument("--caratheodory", help="p1,p2,... as re:im,re:im,...")
     p.add_argument("--order", type=int, default=8)
-    add_format(p)
+    _add_format(p)
 
-    p = add("report", "all coefficient functionals of one function")
+
+def _report_options(p):
     p.add_argument("--class", dest="label", choices=("F", "G"))
     src = p.add_mutually_exclusive_group()
     src.add_argument("--extremal", choices=EXTREMAL_NAMES)
     src.add_argument("--schwarz")
     src.add_argument("--caratheodory")
-    add_format(p)
+    _add_format(p)
 
-    p = add("verify", "sharpness of every ledger bound at its witness")
+
+def _verify_options(p):
     p.add_argument("--class", dest="label", choices=("F", "G", "all"), default="all")
     p.add_argument("--tol", type=float, default=_VERIFY_TOL)
-    add_format(p)
+    _add_format(p)
 
-    p = add("optimize", "grid extremization of the reduced objectives")
+
+def _optimize_options(p):
+    from .objectives import ObjectiveId
     p.add_argument("--objective", default="all",
                    choices=tuple(o.value for o in ObjectiveId) + ("all",))
     p.add_argument("--resolution", type=int, default=2000)
     p.add_argument("--refine", type=int, default=3)
-    add_format(p, "csv")
+    _add_format(p, "csv")
 
-    p = add("sample", "randomized bound-violation search")
+
+def _sample_options(p):
     p.add_argument("--class", dest="label", choices=("F", "G"), required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
@@ -242,8 +241,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-extremals", action="store_true",
                    help="do not inject the class extremals")
     p.add_argument("--tol", type=float, default=_SAMPLE_TOL)
-    add_format(p, "csv")
+    _add_format(p, "csv")
 
+
+@functools.cache   # _Parser keeps no per-call state
+def _build_parser() -> _Parser:
+    """The full parser, for the lines that do not start with a subcommand."""
+    parser = _Parser(prog="ozaki",
+                     description="Coefficient functionals and sharp-bound "
+                                 "verification for the Ozaki close-to-convex "
+                                 "classes F and G.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (summary, add_options, _) in _SUBCOMMANDS.items():
+        add_options(sub.add_parser(name, help=summary))
+    return parser
+
+
+@functools.cache
+def _subparser(name: str) -> _Parser:
+    """The parser of one subcommand alone, as the full parser builds it."""
+    parser = _Parser(prog=f"ozaki {name}")
+    _SUBCOMMANDS[name][1](parser)
     return parser
 
 
@@ -251,21 +269,16 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The options of one command line: the subcommand's own parser reads a
     line that starts with its name, the full parser every other line."""
     argv = _attach_negative_values(argv)
-    parser = _build_parser()
-    if argv and argv[0] in parser.subcommands:
-        return parser.subcommands[argv[0]].parse_args(
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _subparser(argv[0]).parse_args(
             argv[1:], argparse.Namespace(subcommand=argv[0]))
-    return parser.parse_args(argv)
+    return _build_parser().parse_args(argv)
 
 
 # ----------------------------------------------------------------------
 # subcommand payloads: (payload, status, CSV rows or None)
 
 _Payload = tuple[dict, str, list[tuple] | None]
-
-# FunctionalReport fields in payload order
-_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(FunctionalReport))
-
 
 def _payload_extremal(args) -> _Payload:
     member = extremal_member(args.name, args.order)
@@ -324,13 +337,14 @@ def _payload_report(args) -> _Payload:
     member, src = _member_from_args(args, FUNCTIONAL_ORDER)
     r = full_report(member)
     payload = {"label": member.label.value, **src}
-    payload.update((name, _num(getattr(r, name))) for name in _REPORT_FIELDS)
+    payload.update((name, _num(getattr(r, name))) for name in FunctionalReport._fields)
     return payload, "ok", None
 
 
 def _payload_verify(args) -> _Payload:
     if not 0.0 <= args.tol < math.inf:   # NaN fails too
         raise _UsageError(f"--tol must be a finite tolerance >= 0, got {args.tol}")
+    from .ledger import check_extremals   # with it fractions, only here
     labels = None if args.label == "all" else (ClassLabel(args.label),)
     rows = check_extremals(labels=labels)
     entries = [{
@@ -361,6 +375,7 @@ def _payload_verify(args) -> _Payload:
 
 def _payload_optimize(args) -> _Payload:
     from .gridsearch import grid_extremize   # imports numpy, so only here
+    from .objectives import OBJECTIVES, ObjectiveId
     if args.objective == "all":
         ids = list(OBJECTIVES)
     else:
@@ -432,20 +447,27 @@ def _payload_sample(args) -> _Payload:
     return payload, ("ok" if report.ok else "bound_violation"), csv_rows
 
 
-_DISPATCH = {
-    "extremal": _payload_extremal,
-    "coeffs": _payload_coeffs,
-    "report": _payload_report,
-    "verify": _payload_verify,
-    "optimize": _payload_optimize,
-    "sample": _payload_sample,
+# name: (help, function that adds its options, payload) of each subcommand
+_SUBCOMMANDS = {
+    "extremal": ("coefficients of an extremal function", _extremal_options,
+                 _payload_extremal),
+    "coeffs": ("initial coefficients from Schwarz or Caratheodory data",
+               _coeffs_options, _payload_coeffs),
+    "report": ("all coefficient functionals of one function", _report_options,
+               _payload_report),
+    "verify": ("sharpness of every ledger bound at its witness", _verify_options,
+               _payload_verify),
+    "optimize": ("grid extremization of the reduced objectives",
+                 _optimize_options, _payload_optimize),
+    "sample": ("randomized bound-violation search", _sample_options,
+               _payload_sample),
 }
 
 
 def run(argv: Sequence[str]) -> tuple[int, str]:
     """Execute one command line; returns (exit status, output text)."""
     args = _parse(argv)
-    payload, status, csv_rows = _DISPATCH[args.subcommand](args)
+    payload, status, csv_rows = _SUBCOMMANDS[args.subcommand][2](args)
     envelope = _envelope(" ".join(argv), payload, status,
                          seed=getattr(args, "seed", None))
     text = emit(envelope, args.format, csv_rows)

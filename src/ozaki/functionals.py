@@ -33,7 +33,6 @@ three on one function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .classes import OzakiFunction
@@ -101,8 +100,7 @@ def schwarzian_initial(t: CoeffTriple) -> tuple[complex, complex]:
     return 6 * (a3 - a2 ** 2), 24 * (a4 - 3 * a2 * a3 + 2 * a2 ** 3)
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(NamedTuple):
     """All implemented functionals of one function, or of a batch when the
     fields are arrays.
 

@@ -11,8 +11,8 @@ machine precision when the bounds are sharp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classes import ClassLabel, extremal_member
 from .functionals import (FUNCTIONAL_ORDER, FUNCTIONAL_VALUES, FunctionalReport,
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One side of a bound: the rational value and the witness attaining it."""
 
     side: str            # "upper" | "lower"
@@ -42,8 +41,7 @@ class BoundCheck:
         return 1 if self.side == "upper" else -1
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     label: ClassLabel
     functional: str      # key into FUNCTIONAL_VALUES
     kind: str            # "upper" | "lower" | "two_sided"
@@ -82,8 +80,7 @@ def entries_for(label: ClassLabel) -> tuple[BoundEntry, ...]:
     return tuple(e for e in LEDGER if e.label is label)
 
 
-@dataclass(frozen=True)
-class ExtremalCheck:
+class ExtremalCheck(NamedTuple):
     """Outcome of one sharpness check at a witness function."""
 
     label: ClassLabel

@@ -69,6 +69,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.seed < 0:   # numpy's own message names no option
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.blaschke_max_zeros < 0:
             raise ValueError("blaschke_max_zeros must be >= 0")
         if not 0 < self.violation_tolerance < math.inf:   # NaN fails too

@@ -332,6 +332,34 @@ def test_build_member_rejects_small_order():
             OzakiFunction(F, coeffs, "data")
 
 
+def test_records_are_immutable_tuples_that_keep_their_checks():
+    """The member records compare, hash and print by their fields, cannot be
+    written, and coerce and check their fields also through ``_replace``."""
+    w = SchwarzCoeffs([0.5, 0.25])
+    assert w == SchwarzCoeffs((0.5 + 0j, 0.25 + 0j))
+    assert w.c == (0.5 + 0j, 0.25 + 0j)
+    assert hash(w) == hash(SchwarzCoeffs((0.5, 0.25)))
+    assert repr(w) == "SchwarzCoeffs(c=((0.5+0j), (0.25+0j)))"
+    assert SchwarzCoeffs._fields == ("c",)
+    assert w._replace(c=[2]).c == (2 + 0j,)
+    p = CaratheodoryCoeffs((1, 0.5))
+    with pytest.raises(ValueError, match="Caratheodory-Toeplitz"):
+        p._replace(p=(2, 2, -2))
+    with pytest.raises(ValueError, match="Caratheodory-Toeplitz"):
+        CaratheodoryCoeffs._make([(2, 2, -2)])
+    member = build_member(F, w, 6)
+    assert member == OzakiFunction(F, member.coeffs, w)
+    assert repr(member).startswith("OzakiFunction(label=<ClassLabel.F: 'F'>, ")
+    assert OzakiFunction._fields == ("label", "coeffs", "provenance")
+    with pytest.raises(ValueError, match="order >= 4"):
+        member._replace(coeffs=member.coeffs[:4])
+    for record, field in ((w, "c"), (p, "p"), (member, "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+        with pytest.raises(AttributeError):
+            record.other = 1
+
+
 def test_build_from_caratheodory_matches_schwarz_route():
     w = SchwarzCoeffs((0.4, -0.2 + 0.1j, 0.05))
     p = caratheodory_from_schwarz(w, 8)

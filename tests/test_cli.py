@@ -1,6 +1,5 @@
 """Command-line contract: payloads, exit codes, formats, determinism."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from emit_oracle import _jsonval
 from parse_oracle import parse_with_full_parser
-from ozaki import __version__, cli
+from ozaki import __version__, cli, ledger
 from ozaki.cli import main, run
 from ozaki.functionals import FunctionalReport
 from ozaki.ledger import LEDGER
@@ -161,9 +160,9 @@ def test_csv_rejected_before_any_work(monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("work done before rejecting --format csv")
 
-    for name in ("check_extremals", "extremal_member", "build_member",
-                 "full_report"):
+    for name in ("extremal_member", "build_member", "full_report"):
         monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(ledger, "check_extremals", never)
     for argv in (["verify"], ["extremal", "f1"], ["report", "--extremal", "g1"],
                  ["coeffs", "--class", "F", "--schwarz", "0.5"]):
         assert main(argv + ["--format", "csv"]) == 1
@@ -442,7 +441,7 @@ REPORT_FIELDS = ["a2", "a3", "a4", "A2", "A3", "A4", "gamma1", "gamma2",
 
 
 def test_report_payload_key_order():
-    assert [f.name for f in dataclasses.fields(FunctionalReport)] == REPORT_FIELDS
+    assert list(FunctionalReport._fields) == REPORT_FIELDS
     _, env = invoke("report", "--class", "G", "--schwarz", "0.3:0.1,0.2")
     assert list(env["payload"]) == ["label", "source", "input", *REPORT_FIELDS]
     _, env = invoke("report", "--extremal", "f2")
@@ -463,14 +462,14 @@ def test_verify_entries_follow_ledger_order(label, count):
 
 
 def test_verify_reports_a_shifted_residual(monkeypatch):
-    real = cli.check_extremals
+    real = ledger.check_extremals
 
     def shifted(*args, **kwargs):
         rows = real(*args, **kwargs)
-        rows[3] = dataclasses.replace(rows[3], residual=rows[3].residual + 1e-9)
+        rows[3] = rows[3]._replace(residual=rows[3].residual + 1e-9)
         return rows
 
-    monkeypatch.setattr(cli, "check_extremals", shifted)
+    monkeypatch.setattr(ledger, "check_extremals", shifted)
     code, env = invoke("verify", "--class", "all")
     assert code == 2
     assert env["status"] == "bound_violation"
@@ -497,7 +496,12 @@ PARSE_CORPUS = [
      "--format", "csv"),
     ("sample", "--class", "G", "--samples", "50", "--seed", "3", "--no-ext"),
     ("-h",),
+    ("extremal", "-h"),
+    ("coeffs", "-h"),
     ("report", "-h"),
+    ("verify", "-h"),
+    ("optimize", "-h"),
+    ("sample", "-h"),
     # usage errors
     (),
     ("bogus",),
@@ -515,6 +519,16 @@ PARSE_CORPUS = [
     ("report", "--class", "F", "--c", "-0.5:0.1"),
     ("sample", "--class", "F", "--samples", "1.5"),
     ("verify", "--order"),
+    # one usage error per subcommand, read by its parser alone
+    ("extremal", "f9"),
+    ("extremal", "f1", "--order"),
+    ("coeffs", "--class", "F"),
+    ("verify", "--class", "H"),
+    ("verify", "--tol", "small"),
+    ("optimize", "--objective", "Bogus"),
+    ("optimize", "--resolution", "2k"),
+    ("sample", "--class", "F", "--format", "xml"),
+    ("sample", "--samples", "10"),
 ]
 
 
@@ -532,6 +546,14 @@ def test_subcommand_parser_agrees_with_full_parser(argv, capsys, monkeypatch):
     fast = _outcome(argv, capsys)
     monkeypatch.setattr(cli, "_parse", parse_with_full_parser)
     assert fast == _outcome(argv, capsys)
+
+
+def test_a_subcommand_line_builds_only_its_own_parser():
+    cli._build_parser.cache_clear()
+    cli._subparser.cache_clear()
+    assert cli._parse(["verify", "--class", "G"]).label == "G"
+    assert cli._build_parser.cache_info().currsize == 0
+    assert cli._subparser.cache_info().currsize == 1
 
 
 def test_only_lines_without_a_subcommand_reach_the_full_parser(monkeypatch):

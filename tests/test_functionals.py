@@ -1,6 +1,5 @@
 """Coefficient functional formulas, rotation handling, and full reports."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -253,7 +252,7 @@ def _moved(report, field, cols=None):
     else:
         value = value.copy()
         value[cols] += 1e-6
-    return dataclasses.replace(report, **{field: value})
+    return report._replace(**{field: value})
 
 
 def _drawn_chunk(label, seed):

@@ -1,4 +1,5 @@
-"""The package's lazy exports, and single-member commands without numpy."""
+"""The package's lazy exports, and single-member commands without numpy
+or dataclasses."""
 
 import json
 import os
@@ -44,6 +45,37 @@ def test_single_member_commands_run_without_numpy():
     assert results == [list(cli.run(argv)) for argv in SINGLE_MEMBER_COMMANDS]
     assert rejected == 1
     assert "Caratheodory-Toeplitz criterion" in proc.stderr
+
+
+# dataclasses cannot be imported in this interpreter; the modules that the
+# single-member commands do not run are listed as they stand after them
+_WITHOUT_DATACLASSES = """
+import json, sys
+sys.modules["dataclasses"] = None
+import ozaki.cli
+commands = json.loads(sys.argv[1])
+results = [ozaki.cli.run(argv) for argv in commands[:-1]]
+unused = ["ozaki.ledger", "ozaki.objectives", "fractions", "csv"]
+loaded = [name for name in unused if name in sys.modules]
+results.append(ozaki.cli.run(commands[-1]))
+print(json.dumps([results, loaded]))
+"""
+
+
+def test_single_member_commands_load_only_what_they_run():
+    """extremal, coeffs and report load no dataclasses, ledger, objectives,
+    fractions or csv, and verify no dataclasses; all four print what they
+    print in this interpreter."""
+    commands = SINGLE_MEMBER_COMMANDS
+    assert commands[-1][0] == "verify"
+    assert {argv[0] for argv in commands[:-1]} == {"extremal", "coeffs", "report"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_DATACLASSES, json.dumps(commands)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    results, loaded = json.loads(proc.stdout)
+    assert loaded == []
+    assert results == [list(cli.run(argv)) for argv in commands]
 
 
 def test_every_public_name_resolves_from_its_module():

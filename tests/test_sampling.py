@@ -11,7 +11,7 @@ import pytest
 from blaschke_oracle import BlaschkeSpec, schwarz_from_blaschke, spec_from_batch
 from ozaki.classes import (ClassLabel, SchwarzCoeffs, build_member,
                            caratheodory_array, solve_member)
-from ozaki.cli import run
+from ozaki.cli import main, run
 from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
                                full_report, inverse_crosscheck)
 from ozaki.ledger import LEDGER, check_extremals, entries_for
@@ -234,6 +234,14 @@ def test_sample_config_validation():
         SampleConfig(F, 0)
     with pytest.raises(ValueError):
         SampleConfig(F, 10, violation_tolerance=0.0)
+
+
+def test_negative_seed_is_rejected_by_name(capsys):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        SampleConfig(F, 10, seed=-1)
+    assert main(["sample", "--class", "F", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "ozaki: seed must be >= 0, got -1\n"
+    assert SampleConfig(F, 10, seed=0).seed == 0
 
 
 def test_sample_class_g_is_clean():

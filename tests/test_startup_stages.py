@@ -14,13 +14,20 @@ def _load_tool():
     return module
 
 
-def test_every_stage_is_printed_without_numpy(capsys):
+def test_every_stage_is_printed_with_the_modules_it_loads(capsys):
     tool = _load_tool()
     assert tool.main(["--runs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("fresh interpreters, 1 runs per stage")
+    assert lines[1].split()[-1] == "loaded"
     rows = {line.split()[0]: line.split() for line in lines[2:]}
     assert list(rows) == ["python", *tool.STAGES]
+    loaded = {name: row[-1] for name, row in rows.items()}
+    assert loaded == {
+        "python": "-", "import": "-", "extremal": "-", "coeffs": "-",
+        "report": "-", "verify": "fractions,ozaki.ledger",
+        "sample": "numpy,dataclasses,fractions,ozaki.ledger",
+        "optimize": "numpy,dataclasses,fractions,ozaki.objectives"}
     for name, row in rows.items():
-        assert len(row) == 5 and row[-1] == "no", name
+        assert len(row) == 5, name
         assert 0 < float(row[1]) <= float(row[2]) <= float(row[3]), name

@@ -61,7 +61,7 @@ def time_command(argv) -> tuple[dict[str, float], int, str]:
     t0 = time.perf_counter()
     args = cli._parse(argv)
     t1 = time.perf_counter()
-    payload, status, csv_rows = cli._DISPATCH[args.subcommand](args)
+    payload, status, csv_rows = cli._SUBCOMMANDS[args.subcommand][2](args)
     t2 = time.perf_counter()
     envelope = cli._envelope(" ".join(argv), payload, status,
                              seed=getattr(args, "seed", None))
