@@ -22,14 +22,14 @@ a quadratic with c < 0 is unimodal in v, so its largest value at the run's
 grid points lies at one of the two columns that bracket the vertex
 -b / (2c), clipped to the run; when the sign-adjusted quadratic is convex or
 linear (every minimum, and rows where c = 0) it lies at an end of the run.
-b and c are recovered from the objective itself at v = 0, 1/2, 1 and only
-place these at most four candidates per row.  The values compared and
-reported are the objective at the same grid points the full grid holds, with
-ties going to the smallest column and then the smallest row, as a flat
-argmax over the full grid breaks them.  So each round returns the full
-grid's maximum while evaluating O(R) points.  These are held candidate-major,
-one column per grid row, so each numpy operation runs one loop of length R,
-not R loops of length 3 or 4; their columns come in order, with no sort.
+So a row has two candidates: the columns around the vertex when c < 0, else
+the run's two ends; b and c are recovered from the objective itself at
+v = 0, 1/2, 1 and only place them.  The values compared and reported are the
+objective at the same grid points the full grid holds, with ties going to
+the smallest column and then the smallest row, as a flat argmax over the
+full grid breaks them.  So each round returns the full grid's maximum while
+evaluating 5R points, 3R probes and 2R candidates, each set one (k, R) array
+so that every numpy operation runs one loop of length R.
 """
 
 from __future__ import annotations
@@ -80,30 +80,29 @@ def _row_maxima(obj: Objective, sign: float, uu: np.ndarray,
     """Largest in-domain value of sign * fn on each grid row, and its column.
 
     A row's in-domain columns run from 0 to j_hi, the last column with
-    v <= v_max(u).  The probes are (3, R) and the candidates (4, R).  On a
-    non-empty run the candidates 0 <= j_v <= min(j_v + 1, j_hi) <= j_hi are
-    in order, so the first argmax is the smallest column of equal values
-    without a sort.  On an empty run (j_hi = -1) all four clip to column 0,
-    which contains() rejects, so the row gets -inf at column 0.
+    v <= v_max(u); every column up to j_hi is in the domain.  The probes are
+    (3, R) and the candidates (2, R): lo <= hi, so a strict > keeps the
+    smaller column on ties.  An empty run (j_hi = -1) gets -inf at column 0.
     """
     u = uu[None, :]
-    last = len(vv) - 1
-    j_hi = np.searchsorted(vv, np.broadcast_to(obj.domain.v_max(uu), uu.shape),
-                           side="right") - 1
+    # v_max falls along the rows; searchsorted is faster on ascending needles
+    needles = np.broadcast_to(obj.domain.v_max(uu), uu.shape)[::-1]
+    j_hi = np.searchsorted(vv, needles, side="right")[::-1] - 1
+    j_top = np.maximum(j_hi, 0)
     f0, fh, f1 = sign * obj.fn(u, np.array([[0.0], [0.5], [1.0]]))
     c = 2.0 * (f0 - 2.0 * fh + f1)
     b = 4.0 * fh - 3.0 * f0 - f1
-    # np.where evaluates -b / (2c) on the rows with c = 0 too, then drops it
+    concave = c < 0.0
+    # np.where evaluates -b / (2c) on the rows with c >= 0 too, then drops it
     with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = np.where(c < 0.0, -b / (2.0 * c), vv[0])
-    j_v = np.floor((vertex - vv[0]) * last / (vv[-1] - vv[0]))
-    j_v = np.clip(j_v, 0, j_hi).astype(np.intp)
-    cols = np.stack([np.zeros_like(j_v), j_v, np.minimum(j_v + 1, j_hi), j_hi])
-    np.clip(cols, 0, last, out=cols)
-    v = vv[cols]
-    vals = np.where(obj.domain.contains(u, v), sign * obj.fn(u, v), -np.inf)
-    k, rows = np.argmax(vals, axis=0), np.arange(len(uu))
-    return vals[k, rows], cols[k, rows]
+        vertex = np.where(concave, -b / (2.0 * c), vv[0])
+    j_v = np.floor((vertex - vv[0]) * (len(vv) - 1) / (vv[-1] - vv[0]))
+    lo = np.minimum(np.maximum(j_v, 0.0), j_top).astype(np.intp)
+    hi = np.where(concave, np.minimum(lo + 1, j_top), j_top)
+    v_lo, v_hi = sign * obj.fn(u, vv[np.stack([lo, hi])])
+    take = v_hi > v_lo
+    return (np.where(j_hi >= 0, np.where(take, v_hi, v_lo), -np.inf),
+            np.where(take, hi, lo))
 
 
 def _nested_search(obj: Objective, sign: float, resolution: int,

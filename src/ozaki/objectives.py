@@ -69,7 +69,8 @@ class DomainSpec:
         return 1.0 - u * u
 
     def contains(self, u, v):
-        """Exact inequality membership test; broadcasts over arrays."""
+        """Exact inequality membership test; broadcasts over arrays.  The grid
+        search never calls it; perfbench/spans.py and the tests do."""
         (u_lo, u_hi), (v_lo, _) = self.bounds()
         return (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= self.v_max(u))
 

@@ -25,9 +25,11 @@ def test_every_round_is_printed_per_objective(capsys):
     out = capsys.readouterr().out
     for oid in ObjectiveId:
         assert f"{oid.value} (" in out
-    rows = [line.split()[0] for line in out.splitlines()]
+    rows = [line.split() for line in out.splitlines()]
     for label in ("0", "1", "2", "total"):
-        assert rows.count(label) == len(ObjectiveId), label
+        assert [r[0] for r in rows].count(label) == len(ObjectiveId), label
+    # each round's row search evaluates 5 points per grid row
+    assert {r[3] for r in rows if r[0] in ("0", "1", "2")} == {"500"}
 
 
 @pytest.mark.parametrize("oid", list(ObjectiveId))
@@ -39,6 +41,14 @@ def test_timed_rounds_are_the_rounds_of_grid_extremize(oid):
     assert [set(r) for r in rounds] == [{"rows", "edge", "round"}] * 3
     assert (gridsearch._row_maxima, gridsearch._curved_edge) == (row_maxima,
                                                                  curved_edge)
+
+
+@pytest.mark.parametrize("oid", list(ObjectiveId))
+def test_points_are_five_per_grid_row_in_every_round(oid):
+    tool = _load_tool()
+    row_maxima = gridsearch._row_maxima
+    assert tool.count_points(oid, 257, 2) == [5 * 257] * 3
+    assert gridsearch._row_maxima is row_maxima
 
 
 def test_invalid_setting_is_a_usage_error():

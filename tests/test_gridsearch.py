@@ -1,12 +1,14 @@
 """Grid extremization: correct extrema, boundary handling, determinism, and
 equality with the search over the full R x R grid."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ozaki import gridsearch
 from ozaki.gridsearch import _nested_search, _row_maxima, grid_extremize
 from ozaki.objectives import OBJECTIVES, DomainKind, ObjectiveId
 
@@ -224,3 +226,53 @@ def test_row_maxima_equal_brute_force_per_row(oid, mode, resolution):
     if obj.domain.kind is DomainKind.PARABOLIC:
         runs = np.concatenate(runs)
         assert np.any(runs == 0) and np.any(runs == 1)
+
+
+@pytest.mark.parametrize("oid", list(ObjectiveId))
+def test_row_maxima_equal_brute_force_on_default_windows(oid, monkeypatch):
+    """The same on the four windows the default search (2000, 3) visits,
+    every 40th row of each (rows are independent), in both directions."""
+    windows = []
+
+    def recording(obj, sign, uu, vv):
+        windows.append((uu, vv))
+        return _row_maxima(obj, sign, uu, vv)
+
+    monkeypatch.setattr(gridsearch, "_row_maxima", recording)
+    grid_extremize(oid)
+    assert len(windows) == 4
+    obj = OBJECTIVES[oid]
+    for sign in (1.0, -1.0):
+        for uu, vv in windows:
+            vals, cols = _row_maxima(obj, sign, uu[::40], vv)
+            want_vals, want_cols, _ = _brute_row_maxima(obj, sign, uu[::40], vv)
+            assert vals.tobytes() == want_vals.tobytes()
+            assert np.array_equal(cols, want_cols)
+
+
+def _counted(obj, counts):
+    """obj with its fn appending the number of points of each call to counts."""
+    def fn(u, v):
+        counts.append(np.broadcast(u, v).size)
+        return obj.fn(u, v)
+    return dataclasses.replace(obj, fn=fn)
+
+
+@pytest.mark.parametrize("oid", list(ObjectiveId))
+def test_row_search_evaluates_three_probes_and_two_candidates_per_row(oid):
+    counts = []
+    obj = _counted(OBJECTIVES[oid], counts)
+    (u_lo, u_hi), (v_lo, v_hi) = obj.domain.bounds()
+    _row_maxima(obj, 1.0, np.linspace(u_lo, u_hi, 257), np.linspace(v_lo, v_hi, 257))
+    assert counts == [3 * 257, 2 * 257]
+
+
+def test_default_searches_evaluate_340056_points(monkeypatch):
+    """All eight objectives at (2000, 3): 5R points in each of 32 row searches
+    and 20,056 on the curved edge."""
+    counts = []
+    for oid in ObjectiveId:
+        monkeypatch.setitem(OBJECTIVES, oid, _counted(OBJECTIVES[oid], counts))
+    for oid in ObjectiveId:
+        grid_extremize(oid)
+    assert sum(counts) == 32 * 5 * 2000 + 20_056 == 340_056

@@ -5,9 +5,9 @@
 
 Run from anywhere; the package is imported from this checkout's ``src/``.
 For each objective it runs ``grid_extremize`` in the objective's tabulated
-direction once untimed as a warm-up and then N times, with its two per-round
-helpers wrapped in ``time.perf_counter`` timers, so the rounds timed are the
-ones ``grid_extremize`` runs:
+direction once untimed as a warm-up, counting the objective's points, and then
+N times, with its two per-round helpers wrapped in ``time.perf_counter``
+timers, so the rounds timed are the ones ``grid_extremize`` runs:
 
 * ``rows``: ``_row_maxima``, the row-reduced search of the round's R x R grid;
 * ``edge``: ``_curved_edge``, the points of the curve v = 1 - u^2 in the
@@ -17,13 +17,15 @@ ones ``grid_extremize`` runs:
   objective on the curved edge, the argmax and the window update.
 
 Per objective it prints, in milliseconds, the median ``rows`` and ``edge``
-of each round, the quartiles and median of each ``round``, and those of the
-``total`` of all rounds.
+of each round, the number of objective points the round's row search
+evaluated (``points``, from the warm-up: it repeats exactly), the quartiles
+and median of each ``round``, and those of the ``total`` of all rounds.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from contextlib import contextmanager
@@ -62,6 +64,28 @@ def _timed_helpers(marks: list[dict[str, float]]):
         gridsearch._row_maxima, gridsearch._curved_edge = row_maxima, curved_edge
 
 
+def count_points(oid: ObjectiveId, resolution: int, refine: int) -> list[int]:
+    """The number of objective points each round's ``_row_maxima`` evaluates
+    in ``grid_extremize``'s search for ``oid``."""
+    counts: list[int] = []
+    row_maxima = gridsearch._row_maxima
+
+    def counted_rows(obj, sign, uu, vv):
+        counts.append(0)
+
+        def fn(u, v):
+            counts[-1] += np.broadcast(u, v).size
+            return obj.fn(u, v)
+        return row_maxima(dataclasses.replace(obj, fn=fn), sign, uu, vv)
+
+    gridsearch._row_maxima = counted_rows
+    try:
+        gridsearch.grid_extremize(oid, resolution=resolution, refine_iters=refine)
+    finally:
+        gridsearch._row_maxima = row_maxima
+    return counts
+
+
 def time_search(oid: ObjectiveId, resolution: int, refine: int):
     """``grid_extremize``'s result for ``oid`` in its tabulated direction,
     and the seconds of ``rows``, ``edge`` and ``round`` in each round."""
@@ -77,22 +101,22 @@ def time_search(oid: ObjectiveId, resolution: int, refine: int):
 
 
 def round_table(oid: ObjectiveId, runs: int, resolution: int, refine: int) -> str:
-    time_search(oid, resolution, refine)   # warm-up, not counted
+    points = count_points(oid, resolution, refine)   # warm-up, not timed
     timed = [time_search(oid, resolution, refine)[1] for _ in range(runs)]
     lines = [f"{oid.value} ({OBJECTIVES[oid].mode}): {runs} runs, "
              f"resolution {resolution}, refine {refine}",
-             f"{'round':<7}{'rows ms':>9}{'edge ms':>9}"
+             f"{'round':<7}{'rows ms':>9}{'edge ms':>9}{'points':>9}"
              f"{'q1 ms':>9}{'median ms':>11}{'q3 ms':>9}"]
     for r in range(len(timed[0])):
         ms = {stage: [1e3 * rounds[r][stage] for rounds in timed]
               for stage in ("rows", "edge", "round")}
         q1, med, q3 = np.percentile(ms["round"], [25, 50, 75])
         lines.append(f"{r:<7}{np.median(ms['rows']):>9.3f}"
-                     f"{np.median(ms['edge']):>9.3f}"
+                     f"{np.median(ms['edge']):>9.3f}{points[r]:>9}"
                      f"{q1:>9.3f}{med:>11.3f}{q3:>9.3f}")
     total = [1e3 * sum(r["round"] for r in rounds) for rounds in timed]
     q1, med, q3 = np.percentile(total, [25, 50, 75])
-    lines.append(f"{'total':<25}{q1:>9.3f}{med:>11.3f}{q3:>9.3f}")
+    lines.append(f"{'total':<34}{q1:>9.3f}{med:>11.3f}{q3:>9.3f}")
     return "\n".join(lines)
 
 
