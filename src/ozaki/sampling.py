@@ -15,16 +15,17 @@ Schwarz order 3 (``blaschke_product``) and read a2..a4 from
 included, still come from ``solve_member`` of :mod:`ozaki.classes`.  Only
 active zeros (the first ``count`` of a product) are expanded, and the second
 product only for mixtures; the draw gathers and places the active zeros by
-one list of flat indices, and holds each draw only until it is read.
-Chunks of ``_CHUNK`` members are the units of seeding: each draws from its
-own child seed, so results do not depend on how many threads run the chunks.
-By default one thread runs them, the caller's; ``OZAKI_THREADS`` above 1
-runs them in a thread pool, and only then is ``concurrent.futures``
-imported.  Tiles of ``_TILE`` members are the units of compute, small
-enough for the cache.  Every block, a tile or the order-4 columns of the
-witnesses that the class's bounds name, is checked by ``_check_members`` through
-``evaluate``, ``inverse_crosscheck`` and ``FUNCTIONAL_VALUES`` of
-:mod:`ozaki.functionals`; ``_merge`` combines the blocks exactly.
+one list of flat indices, in one buffer that a thread reuses for each chunk
+it runs.  Chunks of ``_CHUNK`` members are the units of seeding: each draws
+from its own child seed, so results do not depend on how many threads run
+the chunks.  By default one thread runs them, the caller's;
+``OZAKI_THREADS`` above 1 runs them on up to one pool thread per chunk, and
+only then is ``concurrent.futures`` imported.  Tiles of ``_TILE`` members
+are the units of compute, small enough for the cache.  Every block, a tile
+or the order-4 columns of the witnesses that the class's bounds name, is
+checked by ``_check_members`` through ``evaluate``, ``inverse_crosscheck``
+and ``FUNCTIONAL_VALUES`` of :mod:`ozaki.functionals`; ``_merge`` combines
+the blocks exactly.
 """
 
 from __future__ import annotations
@@ -147,17 +148,21 @@ class _BlaschkeBatch:
         return _BlaschkeBatch(*(getattr(self, f.name)[cols] for f in fields(self)))
 
 
-def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBatch:
+def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int,
+                buf: np.ndarray | None = None) -> _BlaschkeBatch:
     """Draw n members' Blaschke parameters from ``rng``.
 
-    The generator calls keep one fixed order, which fixes every value.  Each
-    draw is released once it is read: ``cat`` becomes masks at once, the
-    near-boundary counts go into ``counts`` before the radii are drawn, and
-    the radii and angles are gathered at the active slots and dropped
-    before ``zeros`` is allocated.  So at most two (n, 2, k) arrays are
-    alive at once.
+    The generator calls keep one fixed order, which fixes every value.  The
+    radii and angles are drawn into the two halves of ``buf`` (float64 of at
+    least 4 n k values; a fresh one if None) and, once gathered at the
+    active slots, its bytes become ``zeros``, valid until the next draw into
+    ``buf``.  So no (n, 2, k) array is allocated.  ``random`` is ``uniform``
+    bit for bit, and 2 pi ``random`` is ``uniform(0, 2 pi)``, so only the
+    gathered angles are scaled.
     """
     k = max(max_zeros, 1)
+    if buf is None:
+        buf = np.empty(4 * n * k)
     cat = rng.uniform(size=n)
     pure = cat < _PURE_ROTATION_SHARE
     near = (~pure) & (cat < _PURE_ROTATION_SHARE + _NEAR_BOUNDARY_SHARE)
@@ -169,9 +174,10 @@ def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBa
     if max_zeros > 0:
         counts[near, 0] = near_counts[near]
     del near_counts
-    r2 = rng.uniform(size=(n, 2, k))
+    r2, ang = buf[:4 * n * k].reshape(2, n, 2, k)
+    rng.random(out=r2)
     r2[near, 0, :] = _NEAR_RADIUS_SQ + (1.0 - _NEAR_RADIUS_SQ) * r2[near, 0, :]
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2, k))
+    rng.random(out=ang)
     is_mix = ~(pure | near) & (rng.uniform(size=n) < _MIXTURE_SHARE)
     weight = rng.uniform(size=n)
     weight[~is_mix] = 1.0
@@ -180,12 +186,12 @@ def _draw_batch(rng: np.random.Generator, n: int, max_zeros: int) -> _BlaschkeBa
     # One flat index list serves the gathers and the scatter; its mask is
     # built one slot at a time, in long passes over the (n, 2) counts.
     idx = np.flatnonzero(np.stack([counts > j for j in range(k)], axis=-1))
-    radius, phase = np.sqrt(r2.take(idx)), ang.take(idx)
-    del r2, ang
+    radius, phase = np.sqrt(r2.take(idx)), 2.0 * np.pi * ang.take(idx)
     active = np.exp(1j * phase)
     active *= radius
     del radius, phase
-    zeros = np.zeros((n, 2, k), dtype=np.complex128)
+    zeros = buf[:4 * n * k].view(np.complex128).reshape(n, 2, k)
+    zeros.fill(0.0)
     zeros.reshape(-1)[idx] = active
     return _BlaschkeBatch(theta=theta, zeros=zeros, counts=counts,
                           is_mix=is_mix, weight=weight)
@@ -232,18 +238,22 @@ def _reduce(report, sides, tol) -> tuple[list[float], list[float], list[int]]:
     """The minima, maxima and violation counts of ``_check_members``, from
     the report of a block."""
     values = {name: value(report) for name, value in FUNCTIONAL_VALUES.items()}
-    mins = [float(np.min(v)) for v in values.values()]
-    maxs = [float(np.max(v)) for v in values.values()]
-    violations = [int(np.sum(chk.sign * values[functional]
-                             > chk.sign * float(chk.bound) + tol))
-                  for functional, chk in sides]
+    mins = [float(v.min()) for v in values.values()]
+    maxs = [float(v.max()) for v in values.values()]
+    violations = []
+    for functional, chk in sides:   # -v > -b + tol is v < -(-b + tol), exactly
+        v, b = values[functional], float(chk.bound)
+        violations.append(int(np.count_nonzero(
+            v > b + tol if chk.sign > 0 else v < -(-b + tol))))
     return mins, maxs, violations
 
 
 def _check_chunk(label: ClassLabel, seed: np.random.SeedSequence, size: int,
-                 max_zeros: int, sides, tol: float) -> list[tuple]:
-    """Draw a chunk from ``seed``; one ``_check_members`` result per tile."""
-    batch = _draw_batch(np.random.default_rng(seed), size, max_zeros)
+                 max_zeros: int, sides, tol: float,
+                 buf: np.ndarray | None = None) -> list[tuple]:
+    """Draw a chunk from ``seed`` into ``buf`` (see ``_draw_batch``); one
+    ``_check_members`` result per tile."""
+    batch = _draw_batch(np.random.default_rng(seed), size, max_zeros, buf)
     return [_check_members(_members(label, batch[start:start + _TILE]), sides, tol)
             for start in range(0, size, _TILE)]
 
@@ -279,19 +289,23 @@ def sample_and_check(cfg: SampleConfig) -> SampleReport:
     seeds = np.random.SeedSequence(cfg.seed).spawn(nchunks)
 
     tol = cfg.violation_tolerance
+    jobs = list(zip(seeds, sizes))
 
-    def check(seed, size):
-        return _check_chunk(cfg.label, seed, size, cfg.blaschke_max_zeros,
-                            sides, tol)
+    def check(share):   # one buffer per share, so per thread
+        buf = np.empty(4 * sizes[0] * max(cfg.blaschke_max_zeros, 1))
+        return [_check_chunk(cfg.label, seed, size, cfg.blaschke_max_zeros,
+                             sides, tol, buf) for seed, size in share]
 
-    threads = _thread_count()
-    if threads == 1:   # in this thread: no pool, and one malloc arena
-        chunks = list(map(check, seeds, sizes))
+    workers = min(_thread_count(), nchunks)
+    shares = [jobs[i::workers] for i in range(workers)]   # chunks i, i + workers, ...
+    if workers == 1:   # in this thread: no pool, and one malloc arena
+        done = list(map(check, shares))
     else:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(check, seeds, sizes))
-    blocks = [tile for chunk in chunks for tile in chunk]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(check, shares))
+    blocks = [tile for j in range(nchunks)   # in chunk order
+              for tile in done[j % workers][j // workers]]
     if cfg.include_extremals:
         witnesses = sorted({chk.witness for _, chk in sides})
         block = np.stack([extremal_member(name, FUNCTIONAL_ORDER).coeffs

@@ -26,25 +26,29 @@ def test_every_stage_is_printed_per_class(capsys):
     for label in "FG":
         assert f"class {label}: 2 chunks" in out
     lines = out.splitlines()
-    # per class a timing table, then a table of peak traced memory
+    # per class a table of times and page faults, then of peak traced memory
     assert [line.split()[1:] for line in lines if line.startswith("stage")] == [
-        ["q1", "ms", "median", "ms", "q3", "ms"], ["peak", "KiB"]] * 2
+        ["q1", "ms", "median", "ms", "q3", "ms", "faults"], ["peak", "KiB"]] * 2
     rows = [line.split() for line in lines]
     for stage in tool.STAGES + ("total",):
         widths = [len(row) for row in rows if row[0] == stage]
-        assert widths == [4, 2, 4, 2], stage
+        assert widths == [5, 2, 5, 2], stage
 
 
 def test_timed_stages_compute_what_the_sampler_does():
+    """Two consecutive chunks through one reused buffer give what the
+    sampler gives for each."""
     tool = _load_tool()
     label = ClassLabel.G
     sides = tuple((e.functional, chk) for e in entries_for(label)
                   for chk in e.checks)
-    cfg = SampleConfig(label, _CHUNK, seed=8)
-    seed = np.random.SeedSequence(8).spawn(1)[0]
-    _, tiles = tool.time_chunk(cfg, seed, _TILE, sides)
-    assert tiles == _check_chunk(label, seed, _CHUNK, cfg.blaschke_max_zeros,
-                                 sides, cfg.violation_tolerance)
-    peaks, traced_tiles = tool.memory_chunk(cfg, seed, _TILE, sides)
-    assert traced_tiles == tiles
-    assert set(peaks) == set(tool.STAGES) and min(peaks.values()) > 0
+    cfg = SampleConfig(label, 2 * _CHUNK, seed=8)
+    buf = tool.chunk_buffer(cfg)
+    for seed in np.random.SeedSequence(8).spawn(2):
+        spent, faults, tiles = tool.time_chunk(cfg, seed, _TILE, sides, buf)
+        assert set(spent) == set(faults) == set(tool.STAGES)
+        assert tiles == _check_chunk(label, seed, _CHUNK, cfg.blaschke_max_zeros,
+                                     sides, cfg.violation_tolerance)
+        peaks, traced_tiles = tool.memory_chunk(cfg, seed, _TILE, sides, buf)
+        assert traced_tiles == tiles
+        assert set(peaks) == set(tool.STAGES) and min(peaks.values()) > 0

@@ -98,17 +98,17 @@ def test_unknown_names_raise_attribute_error():
 _SAMPLE = """
 import sys
 import ozaki.cli
-code, text = ozaki.cli.run(["sample", "--class", "F", "--samples", "2000"])
+code, text = ozaki.cli.run(["sample", "--class", "F", "--samples", sys.argv[1]])
 print(text)
 print("concurrent.futures" in sys.modules)
 """
 
 
-def _sample_in_fresh_interpreter(threads):
+def _sample_in_fresh_interpreter(threads, samples):
     env = {k: v for k, v in os.environ.items() if k != "OZAKI_THREADS"}
     if threads is not None:
         env["OZAKI_THREADS"] = threads
-    proc = subprocess.run([sys.executable, "-c", _SAMPLE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SAMPLE, str(samples)], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     text, _, pooled = proc.stdout.rstrip("\n").rpartition("\n")
@@ -117,10 +117,13 @@ def _sample_in_fresh_interpreter(threads):
 
 def test_one_thread_samples_without_a_pool():
     """By default ``sample`` runs its chunks in the calling thread and never
-    imports concurrent.futures; two threads do, and print the same text."""
-    one, pooled = _sample_in_fresh_interpreter(None)
+    imports concurrent.futures; two threads over two chunks do, and print the
+    same text.  Over one chunk, two threads start no pool either."""
+    one, pooled = _sample_in_fresh_interpreter(None, 20000)
     assert not pooled
-    two, pooled = _sample_in_fresh_interpreter("2")
+    two, pooled = _sample_in_fresh_interpreter("2", 20000)
     assert pooled
     assert two == one
-    assert json.loads(one)["payload"]["count"] == 2000
+    assert json.loads(one)["payload"]["count"] == 20000
+    _, pooled = _sample_in_fresh_interpreter("2", 2000)
+    assert not pooled

@@ -14,10 +14,10 @@ from ozaki.classes import (ClassLabel, SchwarzCoeffs, build_member,
 from ozaki.cli import main, run
 from ozaki.functionals import (FUNCTIONAL_VALUES, CoeffTriple, evaluate,
                                full_report, inverse_crosscheck)
-from ozaki.ledger import LEDGER, check_extremals, entries_for
+from ozaki.ledger import LEDGER, BoundCheck, check_extremals, entries_for
 from ozaki.sampling import (_CHUNK, _TILE, STAT_NAMES, SampleConfig,
                             _check_chunk, _check_members, _draw_batch, _members,
-                            _merge, _schwarz_coeffs, blaschke_product,
+                            _merge, _reduce, _schwarz_coeffs, blaschke_product,
                             sample_and_check)
 
 F, G = ClassLabel.F, ClassLabel.G
@@ -138,19 +138,25 @@ def dense_draw(rng, n, max_zeros):
 @pytest.mark.parametrize("max_zeros", [0, 1, 3, 5])
 def test_draw_expands_only_the_zeros_it_reads(max_zeros):
     """Every value read from a draw is bitwise the dense draw's; the zeros
-    past a product's count are never read and stay 0."""
-    for n, seed in itertools.product((1, 5000, _CHUNK),
+    past a product's count are never read and stay 0.  A draw into a reused
+    buffer, which starts as NaN and shrinks to a partial last chunk, is
+    bitwise the draw into a fresh one: nothing of an earlier draw leaks."""
+    buf = np.full(4 * _CHUNK * max(max_zeros, 1), np.nan)
+    for n, seed in itertools.product((_CHUNK, 5000, 1),
                                      np.random.SeedSequence(1901).spawn(2)):
-        batch = _draw_batch(np.random.default_rng(seed), n, max_zeros)
         theta, zeros, counts, is_mix, weight = dense_draw(
             np.random.default_rng(seed), n, max_zeros)
-        for got, want in ((batch.theta, theta), (batch.counts, counts),
-                          (batch.is_mix, is_mix), (batch.weight, weight)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        active = np.arange(zeros.shape[2]) < counts[:, :, None]
-        assert batch.zeros[active].tobytes() == zeros[active].tobytes()
-        inactive = batch.zeros[~active]
-        assert inactive.tobytes() == np.zeros_like(inactive).tobytes()
+        fresh = _draw_batch(np.random.default_rng(seed), n, max_zeros)
+        reused = _draw_batch(np.random.default_rng(seed), n, max_zeros, buf)
+        for batch in (fresh, reused):
+            for got, want in ((batch.theta, theta), (batch.counts, counts),
+                              (batch.is_mix, is_mix), (batch.weight, weight)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            active = np.arange(zeros.shape[2]) < counts[:, :, None]
+            assert batch.zeros[active].tobytes() == zeros[active].tobytes()
+            inactive = batch.zeros[~active]
+            assert inactive.tobytes() == np.zeros_like(inactive).tobytes()
+        assert reused.zeros.tobytes() == fresh.zeros.tobytes()
 
 
 def all_columns_schwarz(batch, order):
@@ -186,10 +192,12 @@ def test_tiles_change_nothing(label):
     sides = tuple((e.functional, chk) for e in entries_for(label)
                   for chk in e.checks)
     seeds = np.random.SeedSequence(1903).spawn(4)
-    for seed, size in zip(seeds, (_CHUNK, 1696, 1, 5000)):
+    buf = np.full(4 * _CHUNK * 3, np.nan)   # reused, as by sample_and_check
+    for (seed, size), reuse in itertools.product(
+            zip(seeds, (_CHUNK, 1696, 1, 5000)), (None, buf)):
         batch = _draw_batch(np.random.default_rng(seed), size, 3)
         for tol in (1e-9, -math.inf):
-            tiles = _check_chunk(label, seed, size, 3, sides, tol)
+            tiles = _check_chunk(label, seed, size, 3, sides, tol, reuse)
             assert len(tiles) == -(-size // _TILE)
             mins, maxs, violations, crosscheck = _merge(tiles)
             whole = _check_members(_members(label, batch), sides, tol)
@@ -198,6 +206,45 @@ def test_tiles_change_nothing(label):
             assert violations == whole[2]
             assert float_bits([crosscheck]) == float_bits([whole[3]])
         assert violations == [size] * len(sides)
+
+
+def reduce_by_sign(report, sides, tol):
+    """``_reduce`` as the sign-multiplied formula: sign * v beyond
+    sign * bound + tol."""
+    values = {name: value(report) for name, value in FUNCTIONAL_VALUES.items()}
+    return ([float(np.min(v)) for v in values.values()],
+            [float(np.max(v)) for v in values.values()],
+            [int(np.sum(chk.sign * values[functional]
+                        > chk.sign * float(chk.bound) + tol))
+             for functional, chk in sides])
+
+
+def test_reduce_matches_the_sign_multiplied_formula():
+    """Bitwise the same minima and maxima, and the same violation counts,
+    on sampled tiles and on values that sit at a bound plus or minus the
+    tolerance, within one float step, on an upper and a lower side."""
+    for label, seed in zip((F, G), np.random.SeedSequence(1904).spawn(2)):
+        sides = tuple((e.functional, chk) for e in entries_for(label)
+                      for chk in e.checks)
+        f = _members(label, _draw_batch(np.random.default_rng(seed), _TILE, 3))
+        report = evaluate(CoeffTriple(f[2], f[3], f[4]))
+        for tol in (1e-9, 0.0, -math.inf):
+            got, want = _reduce(report, sides, tol), reduce_by_sign(report, sides, tol)
+            assert float_bits(got[0]) == float_bits(want[0])
+            assert float_bits(got[1]) == float_bits(want[1])
+            assert got[2] == want[2]
+    tol = 1e-9
+    upper = BoundCheck("upper", Fraction(95, 256), "f1")
+    lower = BoundCheck("lower", Fraction(-1, 16), "f2")
+    sides = (("T21_log", upper), ("T21_log", lower))
+    edges = [float(upper.bound) + tol, -(-float(lower.bound) + tol)]
+    t21 = np.array([np.nextafter(e, d) for e in edges
+                    for d in (-math.inf, math.inf)] + edges)
+    block = np.zeros((5, t21.size), dtype=np.complex128)
+    report = evaluate(CoeffTriple(block[2], block[3], block[4]))._replace(T21_log=t21)
+    got, want = _reduce(report, sides, tol), reduce_by_sign(report, sides, tol)
+    assert got[2] == want[2] == [1, 1]
+    assert float_bits(got[0] + got[1]) == float_bits(want[0] + want[1])
 
 
 def test_zero_schwarz_row_gives_identity_function():
@@ -271,10 +318,22 @@ def test_sample_seed_reproducibility():
 
 
 def test_sample_thread_count_does_not_change_results(monkeypatch):
+    """40,000 members are 3 chunks: 2 threads take shares of 2 chunks and 1,
+    and 64 threads start only as many workers as there are chunks."""
+    import concurrent.futures
     base = sample_and_check(SampleConfig(G, 40000, seed=5))
-    monkeypatch.setenv("OZAKI_THREADS", "4")
-    threaded = sample_and_check(SampleConfig(G, 40000, seed=5))
-    assert base == threaded
+    started = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    for threads in (2, 3, 64):
+        monkeypatch.setenv("OZAKI_THREADS", str(threads))
+        assert sample_and_check(SampleConfig(G, 40000, seed=5)) == base
+    assert started == [2, 3, 3]
 
 
 def test_sample_zero_free_products_only():

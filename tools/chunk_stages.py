@@ -1,11 +1,12 @@
-"""Per-stage wall times of the sampler's chunks, one thread, in-process.
+"""Per-stage wall times and page faults of the sampler's chunks, one thread, in-process.
 
     python3 tools/chunk_stages.py [--chunks N] [--seed S] [--tile T]
 
 Run from anywhere; the package is imported from this checkout's ``src/``.
 For each class it draws N chunks of ``_CHUNK`` members from the child seeds
-that ``sample --seed S`` uses, after one untimed warm-up chunk, and times
-with ``time.perf_counter`` the stages that ``_check_chunk`` runs:
+that ``sample --seed S`` uses into one buffer, reused across the chunks as
+``sample_and_check`` reuses it, and times with ``time.perf_counter`` the
+stages that ``_check_chunk`` runs:
 
 * ``draw``: ``_draw_batch`` of the whole chunk;
 * ``members``: ``_members`` per tile, the Schwarz expansion to order 3 and
@@ -16,7 +17,11 @@ with ``time.perf_counter`` the stages that ``_check_chunk`` runs:
   minima, maxima and violation counts.
 
 Each tile's stage times are summed over the chunk.  It prints the quartiles
-and median of each stage, and of their sum, in milliseconds per chunk.
+and median of each stage, and of their sum, in milliseconds per chunk, and
+the median of the minor page faults this process took in the stage per
+chunk (``ru_minflt`` deltas of ``getrusage``).  An untimed warm-up chunk
+runs first, into a buffer of its own that is freed before the timed chunks,
+as in a process that has run ``sample`` before.
 Then, from one more chunk run apart from the timed ones with ``tracemalloc``
 on, it prints each stage's peak traced memory in KiB above what was traced
 when the chunk began (the drawn batch included, for the per-tile stages;
@@ -28,6 +33,7 @@ the largest tile for those), and the peak of the whole chunk as ``total``.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 import tracemalloc
@@ -47,13 +53,24 @@ from ozaki.sampling import (_CHUNK, _TILE, SampleConfig,  # noqa: E402
 STAGES = ("draw", "members", "evaluate", "crosscheck", "reduction")
 
 
+def chunk_buffer(cfg: SampleConfig) -> np.ndarray:
+    """A draw buffer for chunks of ``_CHUNK`` members with the settings of
+    ``cfg``, as ``sample_and_check`` makes one per thread."""
+    return np.empty(4 * _CHUNK * max(cfg.blaschke_max_zeros, 1))
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def run_chunk(cfg: SampleConfig, seed: np.random.SeedSequence, tile: int,
-              sides, measure) -> list[tuple]:
+              sides, buf, measure) -> list[tuple]:
     """The per-tile results, in the form of ``_check_members``, of one chunk
-    drawn from ``seed`` with the settings of ``cfg``; each stage runs as
-    ``measure(stage, thunk)``, which returns what ``thunk()`` returns."""
+    drawn from ``seed`` into ``buf`` with the settings of ``cfg``; each stage
+    runs as ``measure(stage, thunk)``, which returns what ``thunk()``
+    returns."""
     batch = measure("draw", lambda: _draw_batch(
-        np.random.default_rng(seed), _CHUNK, cfg.blaschke_max_zeros))
+        np.random.default_rng(seed), _CHUNK, cfg.blaschke_max_zeros, buf))
     return [run_tile(cfg, batch, start, tile, sides, measure)
             for start in range(0, _CHUNK, tile)]
 
@@ -71,22 +88,24 @@ def run_tile(cfg: SampleConfig, batch, start: int, tile: int, sides,
 
 
 def time_chunk(cfg: SampleConfig, seed: np.random.SeedSequence, tile: int,
-               sides) -> tuple[dict[str, float], list[tuple]]:
-    """Seconds per stage of one chunk, summed over its tiles, and its
-    per-tile results (see ``run_chunk``)."""
+               sides, buf) -> tuple[dict[str, float], dict[str, int], list[tuple]]:
+    """Seconds and minor page faults per stage of one chunk, summed over its
+    tiles, and its per-tile results (see ``run_chunk``)."""
     spent = dict.fromkeys(STAGES, 0.0)
+    faults = dict.fromkeys(STAGES, 0)
 
     def measure(stage, thunk):
-        t0 = time.perf_counter()
+        f0, t0 = minor_faults(), time.perf_counter()
         out = thunk()
         spent[stage] += time.perf_counter() - t0
+        faults[stage] += minor_faults() - f0
         return out
 
-    return spent, run_chunk(cfg, seed, tile, sides, measure)
+    return spent, faults, run_chunk(cfg, seed, tile, sides, buf, measure)
 
 
 def memory_chunk(cfg: SampleConfig, seed: np.random.SeedSequence, tile: int,
-                 sides) -> tuple[dict[str, int], list[tuple]]:
+                 sides, buf) -> tuple[dict[str, int], list[tuple]]:
     """Peak traced bytes per stage of one chunk, above what was traced when
     the chunk began, the largest over its tiles, and its per-tile results
     (see ``run_chunk``)."""
@@ -101,7 +120,7 @@ def memory_chunk(cfg: SampleConfig, seed: np.random.SeedSequence, tile: int,
         return out
 
     try:
-        return peaks, run_chunk(cfg, seed, tile, sides, measure)
+        return peaks, run_chunk(cfg, seed, tile, sides, buf, measure)
     finally:
         tracemalloc.stop()
 
@@ -111,17 +130,23 @@ def stage_table(label: ClassLabel, chunks: int, seed: int, tile: int) -> str:
                   for chk in e.checks)
     cfg = SampleConfig(label, chunks * _CHUNK, seed=seed)   # default settings
     seeds = np.random.SeedSequence(seed).spawn(chunks)
-    time_chunk(cfg, seeds[0], tile, sides)   # warm-up, not counted
-    runs = [time_chunk(cfg, s, tile, sides)[0] for s in seeds]
+    time_chunk(cfg, seeds[0], tile, sides, chunk_buffer(cfg))   # warm-up
+    buf = chunk_buffer(cfg)
+    runs = [time_chunk(cfg, s, tile, sides, buf)[:2] for s in seeds]
     lines = [f"class {label.value}: {chunks} chunks of {_CHUNK} members, "
              f"tiles of {tile}, seed {seed}",
-             f"{'stage':<12}{'q1 ms':>10}{'median ms':>11}{'q3 ms':>10}"]
+             f"{'stage':<12}{'q1 ms':>10}{'median ms':>11}{'q3 ms':>10}"
+             f"{'faults':>8}"]
+    spent, faulted = zip(*runs)
+
+    def per_chunk(column, stage):
+        return [sum(r.values()) if stage == "total" else r[stage] for r in column]
+
     for stage in STAGES + ("total",):
-        ms = [1e3 * (sum(r.values()) if stage == "total" else r[stage])
-              for r in runs]
-        q1, med, q3 = np.percentile(ms, [25, 50, 75])
-        lines.append(f"{stage:<12}{q1:>10.3f}{med:>11.3f}{q3:>10.3f}")
-    peaks = memory_chunk(cfg, seeds[0], tile, sides)[0]
+        q1, med, q3 = 1e3 * np.percentile(per_chunk(spent, stage), [25, 50, 75])
+        faults = np.median(per_chunk(faulted, stage))
+        lines.append(f"{stage:<12}{q1:>10.3f}{med:>11.3f}{q3:>10.3f}{faults:>8.0f}")
+    peaks = memory_chunk(cfg, seeds[0], tile, sides, buf)[0]
     lines.append(f"{'stage':<12}{'peak KiB':>10}")
     for stage in STAGES + ("total",):
         peak = max(peaks.values()) if stage == "total" else peaks[stage]
